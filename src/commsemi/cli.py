@@ -194,7 +194,7 @@ def _parse_base(text: str, m: int) -> sigma.BaseSet:
 def _sides_and_bases(p, args) -> list[tuple[str, sigma.BaseSet]]:
     if args.base is not None:
         return [("custom", _parse_base(args.base, p.m))]
-    sides = ["right", "left"] if args.side == "both" else [args.side]
+    sides = sigma.SIDES if args.side == "both" else [args.side]
     return [(s, survey.base_for(p, s)) for s in sides]
 
 
@@ -332,6 +332,14 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and bounds; a bad value is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_format(p) -> None:
     p.add_argument("--format", choices=("json", "table"), default="json")
 
@@ -355,7 +363,7 @@ def build_parser() -> _Parser:
     p_an = sub.add_parser("analyze", help="decompose a commutation or custom semigroup")
     p_an.add_argument("--m", type=int, required=True)
     p_an.add_argument("--k", type=int, required=True)
-    p_an.add_argument("--side", choices=("right", "left", "both"), default="both")
+    p_an.add_argument("--side", choices=(*sigma.SIDES, "both"), default="both")
     p_an.add_argument("--base", help="comma-separated residues overriding --side")
     p_an.add_argument("--verify", action="store_true", help="run internal cross-checks")
     _add_format(p_an)
@@ -364,16 +372,16 @@ def build_parser() -> _Parser:
     p_or = sub.add_parser("oracle", help="differential check against brute-force oracles")
     p_or.add_argument("--m", type=int, required=True)
     p_or.add_argument("--k", type=int, required=True)
-    p_or.add_argument("--side", choices=("right", "left", "both"), default="both")
+    p_or.add_argument("--side", choices=(*sigma.SIDES, "both"), default="both")
     p_or.add_argument("--base", help="comma-separated residues overriding --side")
-    p_or.add_argument("--oracle-cap", type=int, default=oracle.DEFAULT_TABLE_CAP)
+    p_or.add_argument("--oracle-cap", type=_positive_int, default=oracle.DEFAULT_TABLE_CAP)
     _add_format(p_or)
     p_or.set_defaults(func=_cmd_oracle)
 
     p_sc = sub.add_parser("scan", help="survey a range of moduli for non-basic orbits")
     p_sc.add_argument("--from", dest="from", type=int, required=True)
     p_sc.add_argument("--to", type=int, required=True)
-    p_sc.add_argument("--jobs", type=int, default=1)
+    p_sc.add_argument("--jobs", type=_positive_int, default=1)
     _add_format(p_sc)
     p_sc.set_defaults(func=_cmd_scan)
 
@@ -386,7 +394,9 @@ def build_parser() -> _Parser:
         ("lemma-6-4", "m_max", 125),
     ):
         sp = ver_sub.add_parser(name)
-        sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=int, default=default)
+        sp.add_argument(
+            f"--{flag.replace('_', '-')}", dest=flag, type=_positive_int, default=default
+        )
         _add_format(sp)
         sp.set_defaults(func=_cmd_verify)
 

@@ -3,18 +3,25 @@
 Two independent routes are kept deliberately separate from the container
 engine:
 
-* pair closure: worklist closure of a mu-map generator set under the
+* pair closure: worklist closure of mu-map generator codes under the
   composition law alone.  No containers, no orbits, no families.
 * table closure: function tables built from raw commutators g^-1 h^-1 g h
   and closed under pointwise composition.  No mu-map algebra at all; the
   only shared code is group-element arithmetic.
 
-Tables are stored as arrays of a-exponents (every commutation map lands in
-<a>; the builder checks that instead of assuming it).  For bulk sweeps the
-module also offers a fingerprint variant of the table oracle: candidate
-tables are deduplicated by two independent random-linear hashes (exact in
-float64), a universal-hashing scheme whose collision bound is independent
-of the algebra under test; the per-group closure stays exact at byte level.
+Tables are uint16 rows of a-exponents, one row per map (every commutation
+map lands in <a>; the builder checks that instead of assuming it).  One
+grid build makes the right-side tables x -> [x, h]; the left side
+x -> [h, x] = [x, h]^-1 is their pointwise negation.  One worklist closure
+(`_close`) serves the exact table closure, the closures of the generator
+restrictions to <a>, and the dedupe of those restrictions.  For bulk
+sweeps the module also offers a fingerprint variant of the table oracle:
+candidate tables are deduplicated by two independent random-linear hashes
+(exact in float64), a universal-hashing scheme whose collision bound is
+independent of the algebra under test; the per-group closure stays exact at
+byte level.  A differential check compares the table closure with the
+tables of the engine's maps row by row, and a mismatch names a witness
+mu-map whichever side holds the extra row.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ import numpy as np
 
 from . import sigma as sigma_mod
 from .group import Presentation
-from .mumap import MuMap, compose
-from .sigma import BaseSet, left_base, right_base
+from .mumap import MuMap
+from .sigma import LEFT, RIGHT, SIDES, BaseSet, left_base, right_base
 
 DEFAULT_TABLE_CAP = 4000
 # Fixed seed for the fingerprint weights: identical runs produce identical
@@ -35,86 +42,28 @@ DEFAULT_TABLE_CAP = 4000
 _FP_SEED = 0x5EC7
 _FP_BITS = 26
 
-RIGHT = "right"
-LEFT = "left"
-
 
 class CapExceeded(ValueError):
     """The group is too large for the function-table representation."""
-
-
-@dataclass(frozen=True)
-class FunctionTable:
-    """A self-map of G with range inside <a>.
-
-    data packs one uint16 a-exponent per group element, row-major by
-    (i, j); entry e describes the image of a^(e//n) b^(e%n).
-    """
-
-    m: int
-    n: int
-    data: bytes
-
-    def targets(self) -> tuple[int, ...]:
-        return tuple(np.frombuffer(self.data, dtype=np.uint16).tolist())
-
-    def __len__(self) -> int:
-        return self.m * self.n
 
 
 # ---------------------------------------------------------------------------
 # pair oracle
 
 
-def mu_generators(p: Presentation, s: BaseSet) -> list[MuMap]:
-    """The generator set {mu(s, z) : s in S, z in Z_m}."""
-    return [MuMap(b, z) for b in sorted(s.elements) for z in range(p.m)]
-
-
-def rho_generators(p: Presentation) -> list[MuMap]:
-    from .mumap import rho_of
-
-    return [rho_of(p, g) for g in p.elements()]
-
-
-def lambda_generators(p: Presentation) -> list[MuMap]:
-    from .mumap import lambda_of
-
-    return [lambda_of(p, g) for g in p.elements()]
-
-
-def pair_closure(p: Presentation, generators) -> frozenset[MuMap]:
-    """Least set containing the generators and closed under composition.
-
-    Worklist BFS keyed on canonical pairs.  New elements come from
-    composing on the right with generators only (sufficient, since every
-    product reduces to gen.gen...gen and composition is associative), and
-    the partner list keeps one generator per distinct x: within the
-    composition law the result never depends on the partner's y.
-    """
-    gens = set(generators)
-    partners = [MuMap(x, 0) for x in sorted({g.x for g in gens})]
-    result = set(gens)
-    frontier = list(gens)
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for g in partners:
-                h = compose(p, f, g)
-                if h not in result:
-                    result.add(h)
-                    fresh.append(h)
-        frontier = fresh
-    return frozenset(result)
-
-
 def mu_generator_codes(p: Presentation, s: BaseSet) -> np.ndarray:
+    """Codes x*m + y of the generator set {mu(s, z) : s in S, z in Z_m}."""
     m = p.m
     return np.concatenate([b * m + np.arange(m, dtype=np.int64) for b in sorted(s.elements)])
 
 
 def pair_closure_codes(p: Presentation, gen_codes: np.ndarray) -> np.ndarray:
-    """Vectorized pair closure over codes x*m + y; returns the sorted result."""
+    """Vectorized pair closure over codes x*m + y; returns the sorted result.
+
+    Composing on the right with generators only suffices (every product
+    reduces to gen.gen...gen), and one partner per distinct x does too: the
+    composition law never reads the partner's y.
+    """
     m = p.m
     if m * m > (1 << 31):
         raise ValueError(f"pair oracle needs an m*m membership table; m={m} is too large")
@@ -147,35 +96,28 @@ def _vec_group(p: Presentation):
     cpow = np.asarray(p.c_pow, dtype=np.int32)
     inv_i = ((-i_of.astype(np.int64) * kpow[j_of]) % m).astype(np.int32)
     inv_j = ((n - j_of) % n).astype(np.int32)
-    return i_of, j_of, inv_i, inv_j, cpow
-
-
-def _dedupe_rows(arr: np.ndarray) -> np.ndarray:
-    keep, seen = [], set()
-    for idx in range(arr.shape[0]):
-        b = arr[idx].tobytes()
-        if b not in seen:
-            seen.add(b)
-            keep.append(idx)
-    return arr[keep]
+    return i_of, inv_i, inv_j, cpow
 
 
 def _generator_tables(p: Presentation, side: str) -> tuple[np.ndarray, np.ndarray]:
     """Commutation-map tables for one side (one row per h in G, a-exponent
-    entries) plus the deduplicated restrictions to <a>.
+    entries) plus the distinct restrictions to <a>.
 
-    Right side builds x -> [x, h]; left side x -> [h, x], each by three
-    normal-form grid products.  The b-exponents telescope to zero (every
+    One grid build makes the right side x -> [x, h] by three normal-form
+    products; the left side x -> [h, x] = [x, h]^-1 is its pointwise
+    negation v -> (m - v) % m.  The b-exponents telescope to zero (every
     commutator lands in <a>), so only a-exponents are tracked; the build is
     spot-checked here against the scalar commutator, and exhaustively in
     the test suite.  All intermediate sums stay under 3*m^2 (int32-safe
     whenever the table cap admits the group).
     """
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     m, n = p.m, p.n
     mn = m * n
     if 3 * m * m >= 1 << 31:
         raise CapExceeded(f"modulus {m} too large for int32 table construction")
-    xi, xj, xii, xij, cpow = _vec_group(p)
+    xi, xii, xij, cpow = _vec_group(p)
     cpow2 = np.concatenate([cpow[:n], cpow[:n]])  # cpow[(u+v) % n] == cpow2[u+v]
     cp1 = cpow[xij]
 
@@ -183,26 +125,18 @@ def _generator_tables(p: Presentation, side: str) -> tuple[np.ndarray, np.ndarra
     block = max(1, 4_000_000 // mn)
     for lo in range(0, mn, block):
         hs = np.arange(lo, min(lo + block, mn), dtype=np.int64)
-        hi, hj = xi[hs], xj[hs]
-        hii, hij = xii[hs], xij[hs]
-        if side == RIGHT:
-            # [x, h] = ((x^-1 h^-1) x) h; rows x, columns h
-            t = xii[:, None] + hii[None, :] * cp1[:, None]
-            t += xi[:, None] * cpow2[xij[:, None] + hij[None, :]]
-            t += (hi * cpow[hij])[None, :]
-            tables[hs] = (t % m).T
-        elif side == LEFT:
-            # [h, x] = ((h^-1 x^-1) h) x; rows h, columns x
-            t = hii[:, None] + xii[None, :] * cpow[hij][:, None]
-            t += hi[:, None] * cpow2[hij[:, None] + xij[None, :]]
-            t += (xi * cp1)[None, :]
-            tables[hs] = t % m
-        else:
-            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+        hi, hii, hij = xi[hs], xii[hs], xij[hs]
+        # [x, h] = ((x^-1 h^-1) x) h; rows x, columns h
+        t = xii[:, None] + hii[None, :] * cp1[:, None]
+        t += xi[:, None] * cpow2[xij[:, None] + hij[None, :]]
+        t += (hi * cpow[hij])[None, :]
+        tables[hs] = (t % m).T
+    if side == LEFT:
+        tables = (m - tables) % m
 
     _spot_check_tables(p, side, tables)
-    restrictions = _dedupe_rows(np.ascontiguousarray(tables[:, ::n]))
-    return tables, restrictions
+    restrictions = np.ascontiguousarray(tables[:, ::n])
+    return tables, _close(restrictions, restrictions[:0])
 
 
 def _spot_check_tables(p: Presentation, side: str, tables: np.ndarray) -> None:
@@ -221,70 +155,52 @@ def _spot_check_tables(p: Presentation, side: str, tables: np.ndarray) -> None:
             raise AssertionError(f"table build disagrees with scalar commutator at {h}, {x}")
 
 
-def _restriction_closure(restrictions: np.ndarray, m: int) -> np.ndarray:
-    """Closure of the generator restrictions (maps <a> -> <a>) under composition."""
-    seen: dict[bytes, None] = {}
-    rows = []
-    frontier = []
-    for row in restrictions:
-        b = row.tobytes()
-        if b not in seen:
-            seen[b] = None
-            rows.append(row)
-            frontier.append(row)
-    frontier_arr = np.array(frontier, dtype=np.uint16)
-    while frontier_arr.size:
-        fresh = []
-        for partner in restrictions:
-            composed = partner[frontier_arr.astype(np.int64)]
-            for row in composed:
-                b = row.tobytes()
-                if b not in seen:
-                    seen[b] = None
-                    rows.append(row)
-                    fresh.append(row)
-        frontier_arr = (
-            np.array(fresh, dtype=np.uint16) if fresh else np.empty((0, m), dtype=np.uint16)
-        )
-    return np.array(rows, dtype=np.uint16)
+def _close(seeds: np.ndarray, partners: np.ndarray) -> np.ndarray:
+    """The distinct rows of the least set that holds the seed rows and is
+    closed under row -> partner[row] for every partner row.
+
+    Rows are uint16 a-exponent tables and partners are maps restricted to
+    <a>, so composing reads a partner at each entry of a row.  Rows are
+    keyed on their bytes and come back in discovery order, one per map.
+    With no partners this is a dedupe of the seeds.
+    """
+    width = seeds.shape[1]
+    seen: set[bytes] = set()
+    rows: list[bytes] = []
+
+    def admit(batch: np.ndarray) -> None:
+        for row in batch:
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                rows.append(key)
+
+    admit(seeds)
+    done = 0
+    while done < len(rows):
+        frontier = _stack(rows[done:], width).astype(np.intp)
+        done = len(rows)
+        for partner in partners:
+            admit(partner[frontier])
+    return _stack(rows, width)
 
 
-def table_closure(
-    p: Presentation, side: str, cap: int = DEFAULT_TABLE_CAP
-) -> frozenset[FunctionTable]:
+def _stack(rows: list[bytes], width: int) -> np.ndarray:
+    return np.frombuffer(b"".join(rows), dtype=np.uint16).reshape(-1, width)
+
+
+def table_closure(p: Presentation, side: str, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
     """All maps of the table semigroup generated by one side's commutation maps.
 
-    Exact byte-level closure: worklist over full tables, composing with the
+    Exact byte-level closure of the generator tables, composing with the
     generator restrictions (composition only reads a partner on <a>, where
-    every table under closure takes its values).
+    every table under closure takes its values).  Returns one uint16 row of
+    a-exponents per map; entry e is the image of a^(e//n) b^(e%n).
     """
-    m, n = p.m, p.n
-    mn = m * n
+    mn = p.m * p.n
     if mn > cap:
         raise CapExceeded(f"group order {mn} exceeds table cap {cap}")
-    gens, restrictions = _generator_tables(p, side)
-
-    seen: set[bytes] = set()
-    frontier_rows = []
-    for row in gens:
-        b = row.tobytes()
-        if b not in seen:
-            seen.add(b)
-            frontier_rows.append(row)
-    frontier = np.array(frontier_rows, dtype=np.uint16)
-    while frontier.size:
-        fresh = []
-        idx = frontier.astype(np.int64)
-        for partner in restrictions:
-            for row in partner[idx]:
-                b = row.tobytes()
-                if b not in seen:
-                    seen.add(b)
-                    fresh.append(row)
-        frontier = (
-            np.array(fresh, dtype=np.uint16) if fresh else np.empty((0, mn), dtype=np.uint16)
-        )
-    return frozenset(FunctionTable(m, n, b) for b in seen)
+    return _close(*_generator_tables(p, side))
 
 
 # ---------------------------------------------------------------------------
@@ -301,32 +217,18 @@ def _translation_vectors(p: Presentation) -> tuple[np.ndarray, np.ndarray]:
     return (i_of * kpow[j_of]) % m, ksub[j_of]
 
 
-def table_of(p: Presentation, mu: MuMap) -> FunctionTable:
-    """The function table of one mu-map: apply it at every group element."""
-    a_vec, b_vec = _translation_vectors(p)
-    vals = (mu.x * a_vec - mu.y * b_vec) % p.m
-    return FunctionTable(p.m, p.n, vals.astype(np.uint16).tobytes())
-
-
-def _translated_table_bytes(p: Presentation, codes: np.ndarray) -> set[bytes]:
-    """Tables of many mu-maps given as codes x*m + y, as a set of byte rows."""
+def _mu_tables(p: Presentation, codes) -> np.ndarray:
+    """Function tables of the mu-maps with codes x*m + y, one uint16 row per
+    code: mu(x, y) sends a^i b^j to a^(x*i*k^j - y*k_j)."""
     m = p.m
     a_vec, b_vec = _translation_vectors(p)
-    out: set[bytes] = set()
     codes = np.asarray(codes, dtype=np.int64)
-    order_ = np.argsort(codes, kind="stable")
-    codes = codes[order_]
-    xs = codes // m
-    ys = codes % m
-    mn = a_vec.size
-    block = max(1, 4_000_000 // mn)
+    rows = np.empty((codes.size, a_vec.size), dtype=np.uint16)
+    block = max(1, 4_000_000 // a_vec.size)
     for lo in range(0, codes.size, block):
-        xb = xs[lo : lo + block, None]
-        yb = ys[lo : lo + block, None]
-        vals = ((xb * a_vec[None, :] - yb * b_vec[None, :]) % m).astype(np.uint16)
-        for row in vals:
-            out.add(row.tobytes())
-    return out
+        x, y = np.divmod(codes[lo : lo + block, None], m)
+        rows[lo : lo + block] = (x * a_vec - y * b_vec) % m
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +296,11 @@ def _fingerprint_build(p: Presentation, seed: int):
     flip = (m - np.arange(m)) % m
     wg_l = np.ascontiguousarray(wg_r[:, :, flip])
     gen_fp_l = (m * wsum)[None, :] - gen_fp_r - m * wg_r[:, :, 0].T.astype(np.int64)
-    restr_l = ((m - restr_r.astype(np.int64)) % m).astype(np.uint16)
+    restr_l = (m - restr_r) % m
 
     return {
-        RIGHT: (gen_fp_r, wg_r, _restriction_closure(restr_r, m)),
-        LEFT: (gen_fp_l, wg_l, _restriction_closure(restr_l, m)),
+        RIGHT: (gen_fp_r, wg_r, _close(restr_r, restr_r)),
+        LEFT: (gen_fp_l, wg_l, _close(restr_l, restr_l)),
     }
 
 
@@ -416,8 +318,8 @@ def table_fingerprints(
     about 2^-52 per pair (two independent 26-bit-weight hashes, folded to
     one word); the result is a sorted uint64 vector.
     """
-    if side not in (RIGHT, LEFT):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     if p.m * p.n > cap:
         raise CapExceeded(f"group order {p.m * p.n} exceeds table cap {cap}")
     gen_fp, wg, rc = _fingerprint_build(p, seed)[side]
@@ -560,20 +462,14 @@ def differential_check(
             table_status = "cap_exceeded"
         else:
             table_status = "ok"
-            tables = table_closure(p, side, cap)
-            table_order = len(tables)
-            table_bytes = {t.data for t in tables}
-            translated = _translated_table_bytes(p, engine_codes)
-            table_agree = table_bytes == translated
+            table_rows = {row.tobytes() for row in table_closure(p, side, cap)}
+            mu_rows = {row.tobytes() for row in _mu_tables(p, engine_codes)}
+            table_order = len(table_rows)
+            table_agree = table_rows == mu_rows
             if not table_agree and witness is None:
-                extra = sorted(translated - table_bytes)
-                if extra:
-                    # invert by locating the engine mu whose table is unmatched
-                    for code in engine_codes:
-                        mu = MuMap(*divmod(int(code), m))
-                        if table_of(p, mu).data == extra[0]:
-                            witness = mu
-                            break
+                # mu(x, y) sends a (entry n) to a^x and b (entry 1) to a^(-y*(k-1))
+                row = np.frombuffer(min(mu_rows - table_rows or table_rows - mu_rows), np.uint16)
+                witness = MuMap(int(row[p.n]), -int(row[1]) * pow(p.k - 1, -1, m) % m)
 
     return DifferentialReport(
         m=p.m,

@@ -26,6 +26,10 @@ from .container import Container
 from .group import Presentation
 from .mumap import MuMap
 
+# the two commutation sides: P(G) is based on R, Lambda(G) on L
+RIGHT, LEFT = "right", "left"
+SIDES = (RIGHT, LEFT)
+
 
 class InvalidBase(ValueError):
     """The proposed base is missing 0, has no unit, or is off-modulus."""

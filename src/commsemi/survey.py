@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 from . import group, sigma
 from .group import InvalidPresentation, Presentation
-
-SIDES = ("right", "left")
+from .sigma import LEFT, RIGHT, SIDES
 
 
 class NotADivisor(ValueError):
@@ -95,9 +94,9 @@ def validated_presentations(m: int) -> list[Presentation]:
 
 
 def base_for(p: Presentation, side: str) -> sigma.BaseSet:
-    if side == "right":
+    if side == RIGHT:
         return sigma.right_base(p)
-    if side == "left":
+    if side == LEFT:
         return sigma.left_base(p)
     raise ValueError(f"unknown side {side!r}")
 

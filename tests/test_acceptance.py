@@ -81,7 +81,7 @@ def test_criterion_2_g63_reference_values(announce):
     # Table oracle, outside the timed region: raw commutator tables closed
     # under composition, grouped by the image of a (element index n).
     tables = oracle.table_closure(p, "right")
-    per_x = Counter(t.targets()[p.n] for t in tables)
+    per_x = Counter(tables[:, p.n].tolist())
     # 1566 = 22*63 + 6*21 + 27 + 27: the orbit of 9 gives six 21-element
     # families, and 42 = 15*7 with 15 in R puts C(42; 7) beside C(42; 3).
     short = {9: 21, 18: 21, 27: 21, 36: 21, 45: 21, 54: 21, 21: 27, 42: 27}

@@ -169,6 +169,24 @@ class TestScan:
         assert json.dumps(rep, sort_keys=True, indent=2) + "\n" == out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--from", "3", "--to", "5", "--jobs", "0"),
+        ("scan", "--from", "3", "--to", "5", "--jobs", "-2"),
+        ("oracle", "--m", "3", "--k", "2", "--oracle-cap", "-5"),
+        ("verify", "prime-m", "--p-max", "-3"),
+        ("verify", "prime-n", "--m-max", "-1"),
+    ],
+)
+def test_bad_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "must be a positive integer" in err
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "argv",

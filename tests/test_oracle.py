@@ -3,9 +3,44 @@ import random
 import numpy as np
 import pytest
 
-from commsemi import group, mumap, oracle, sigma
+from commsemi import group, mumap, oracle, sigma, survey
 from commsemi.mumap import MuMap
 from commsemi.sigma import left_base, make_base, right_base
+
+
+def mu_generators(p, s):
+    """The generator set {mu(s, z) : s in S, z in Z_m}."""
+    return [MuMap(b, z) for b in sorted(s.elements) for z in range(p.m)]
+
+
+def rho_generators(p):
+    return [mumap.rho_of(p, g) for g in p.elements()]
+
+
+def lambda_generators(p):
+    return [mumap.lambda_of(p, g) for g in p.elements()]
+
+
+def pair_closure(p, generators):
+    """Reference pair closure: MuMap objects, the composition law only.
+
+    Worklist BFS composing on the right with one generator per distinct x
+    (the composition law never reads the partner's y).
+    """
+    gens = set(generators)
+    partners = [MuMap(x, 0) for x in sorted({g.x for g in gens})]
+    result = set(gens)
+    frontier = list(gens)
+    while frontier:
+        fresh = []
+        for f in frontier:
+            for g in partners:
+                h = mumap.compose(p, f, g)
+                if h not in result:
+                    result.add(h)
+                    fresh.append(h)
+        frontier = fresh
+    return frozenset(result)
 
 
 def scalar_tables(p, side):
@@ -22,43 +57,43 @@ def scalar_tables(p, side):
 
 class TestPairClosure:
     def test_s3_sizes(self, g3):
-        assert len(oracle.pair_closure(g3, oracle.rho_generators(g3))) == 6
-        assert len(oracle.pair_closure(g3, oracle.lambda_generators(g3))) == 9
+        assert len(pair_closure(g3, rho_generators(g3))) == 6
+        assert len(pair_closure(g3, lambda_generators(g3))) == 9
 
     def test_pq_sizes(self, g7):
-        assert len(oracle.pair_closure(g7, oracle.rho_generators(g7))) == 49
-        assert len(oracle.pair_closure(g7, oracle.lambda_generators(g7))) == 28
+        assert len(pair_closure(g7, rho_generators(g7))) == 49
+        assert len(pair_closure(g7, lambda_generators(g7))) == 28
 
     def test_g5_sizes(self, g5):
-        assert len(oracle.pair_closure(g5, oracle.rho_generators(g5))) == 25
-        assert len(oracle.pair_closure(g5, oracle.lambda_generators(g5))) == 25
+        assert len(pair_closure(g5, rho_generators(g5))) == 25
+        assert len(pair_closure(g5, lambda_generators(g5))) == 25
 
     def test_g63_closure_size(self, g63):
         # the container engine, this BFS, and the raw table closure all
         # give 1566 for P(G(63,6,2))
-        assert len(oracle.pair_closure(g63, oracle.rho_generators(g63))) == 1566
+        assert len(pair_closure(g63, rho_generators(g63))) == 1566
 
     def test_generator_order_independence(self, g63):
-        gens = oracle.rho_generators(g63)
+        gens = rho_generators(g63)
         shuffled = gens[:]
         random.Random(3).shuffle(shuffled)
-        assert oracle.pair_closure(g63, gens) == oracle.pair_closure(g63, shuffled)
+        assert pair_closure(g63, gens) == pair_closure(g63, shuffled)
 
     def test_codes_path_matches_object_path(self, g63):
         for base in (right_base(g63), left_base(g63)):
-            via_objects = oracle.pair_closure(g63, oracle.mu_generators(g63, base))
+            via_objects = pair_closure(g63, mu_generators(g63, base))
             via_codes = oracle.pair_closure_codes(g63, oracle.mu_generator_codes(g63, base))
             assert sorted(m.x * 63 + m.y for m in via_objects) == via_codes.tolist()
 
     def test_rho_generators_are_gamma_of_right_base(self, g63):
         # {rho(g)} and {mu(s, z) : s in R} generate from the same set
-        assert set(oracle.rho_generators(g63)) == set(
-            oracle.mu_generators(g63, right_base(g63))
+        assert set(rho_generators(g63)) == set(
+            mu_generators(g63, right_base(g63))
         )
 
     def test_closure_contains_generators_and_is_closed(self, g5):
-        gens = oracle.rho_generators(g5)
-        result = oracle.pair_closure(g5, gens)
+        gens = rho_generators(g5)
+        result = pair_closure(g5, gens)
         assert set(gens) <= result
         for f in result:
             for g in gens:
@@ -99,29 +134,29 @@ class TestTableClosure:
 
     def test_closure_closed_under_composition(self, g3):
         tables = oracle.table_closure(g3, "left")
-        by_data = {t.data for t in tables}
-        mn = 6
+        assert tables.shape == (9, 6) and tables.dtype == np.uint16
+        by_data = {t.tobytes() for t in tables}
+        assert len(by_data) == len(tables)
         for t1 in tables:
-            a1 = np.frombuffer(t1.data, dtype=np.uint16)
             for t2 in tables:
-                restr = np.frombuffer(t2.data, dtype=np.uint16)[:: g3.n]
-                comp = restr[a1.astype(np.int64)]
-                assert comp.astype(np.uint16).tobytes() in by_data
+                comp = t2[:: g3.n][t1.astype(np.int64)]
+                assert comp.tobytes() in by_data
 
     def test_tables_correspond_to_pair_closure(self, g7):
         for side, base in (("right", right_base(g7)), ("left", left_base(g7))):
-            pairs = oracle.pair_closure(g7, oracle.mu_generators(g7, base))
-            translated = {oracle.table_of(g7, mu).data for mu in pairs}
-            tables = {t.data for t in oracle.table_closure(g7, side)}
+            pairs = pair_closure(g7, mu_generators(g7, base))
+            codes = [mu.x * g7.m + mu.y for mu in pairs]
+            translated = {t.tobytes() for t in oracle._mu_tables(g7, codes)}
+            tables = {t.tobytes() for t in oracle.table_closure(g7, side)}
             assert translated == tables
 
-    def test_function_table_accessors(self, g3):
-        mu = MuMap(1, 1)
-        t = oracle.table_of(g3, mu)
-        assert len(t) == 6
-        assert t.targets() == tuple(
-            mumap.apply(g3, mu, g).i for g in g3.elements()
-        )
+    def test_mu_tables_match_apply(self, g7):
+        codes = np.arange(7 * 7)
+        rows = oracle._mu_tables(g7, codes)
+        assert rows.shape == (49, 7 * g7.n) and rows.dtype == np.uint16
+        for code, row in zip(codes.tolist(), rows):
+            mu = MuMap(*divmod(code, 7))
+            assert row.tolist() == [mumap.apply(g7, mu, g).i for g in g7.elements()]
 
 
 class TestFingerprints:
@@ -129,10 +164,7 @@ class TestFingerprints:
         w = oracle._fp_weights(63 * 6, oracle._FP_SEED)
         for side in ("right", "left"):
             fp = oracle.table_fingerprints(g63, side)
-            rows = np.array(
-                [np.frombuffer(t.data, dtype=np.uint16) for t in oracle.table_closure(g63, side)],
-                dtype=np.int64,
-            )
+            rows = oracle.table_closure(g63, side).astype(np.int64)
             exact = np.unique(oracle._combine64(rows @ w[0], rows @ w[1]))
             assert np.array_equal(fp, exact)
 
@@ -188,3 +220,33 @@ class TestDifferentialCheck:
         for base in (right_base(p), left_base(p)):
             rep = oracle.differential_check(p, base)
             assert rep.agree, rep
+
+    @pytest.mark.parametrize("mk", [(63, 2), (9, 2), (25, 7)])
+    @pytest.mark.parametrize("side", sigma.SIDES)
+    @pytest.mark.parametrize("holder", ["engine", "tables"])
+    def test_table_witness_from_either_side(self, monkeypatch, mk, side, holder):
+        # make one map extra on one side of the table comparison only; the
+        # witness must name it whichever side holds it
+        p = group.validate(*mk)
+        base = survey.base_for(p, side)
+        codes = sigma.element_codes(sigma.analyze(p, base))
+        extra = codes[-1]
+        if holder == "engine":
+            row = oracle._mu_tables(p, [extra])[0]
+            closure = oracle.table_closure
+            monkeypatch.setattr(
+                oracle, "table_closure",
+                lambda *a, **kw: (t := closure(*a, **kw))[(t != row).any(axis=1)],
+            )
+        else:
+            element_codes, pair_codes = sigma.element_codes, oracle.pair_closure_codes
+            monkeypatch.setattr(
+                sigma, "element_codes", lambda a: [c for c in element_codes(a) if c != extra]
+            )
+            monkeypatch.setattr(
+                oracle, "pair_closure_codes", lambda *a: (c := pair_codes(*a))[c != extra]
+            )
+        rep = oracle.differential_check(p, base)
+        assert rep.pair_agree
+        assert rep.table_agree is False and not rep.agree
+        assert rep.witness == MuMap(*divmod(extra, p.m))

@@ -1,6 +1,7 @@
 import pytest
 
-from commsemi import group, oracle, survey
+from commsemi import group, survey
+from test_oracle import mu_generators, pair_closure
 
 
 class TestScan:
@@ -44,7 +45,7 @@ class TestScan:
         for rec in survey.scan(31, 35):
             p = group.validate(rec.m, rec.k)
             base = survey.base_for(p, rec.side)
-            assert rec.order == len(oracle.pair_closure(p, oracle.mu_generators(p, base)))
+            assert rec.order == len(pair_closure(p, mu_generators(p, base)))
 
 
 class TestValidatedPresentations:
