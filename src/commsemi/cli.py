@@ -224,20 +224,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     params = {"m": args.m, "k": args.k, "side": args.side, "base": args.base}
-    try:
-        p = group.validate(args.m, args.k)
-    except group.InvalidPresentation as exc:
-        print(f"invalid presentation: {exc}", file=sys.stderr)
-        return EX_INVALID_PRESENTATION
-    try:
-        targets = _sides_and_bases(p, args)
-        analyses = [
-            _analysis_payload(sigma.analyze(p, base, verify=args.verify), label)
-            for label, base in targets
-        ]
-    except sigma.InvalidBase as exc:
-        print(f"invalid base: {exc}", file=sys.stderr)
-        return EX_INVALID_BASE
+    p = group.validate(args.m, args.k)
+    analyses = [
+        _analysis_payload(sigma.analyze(p, base, verify=args.verify), label)
+        for label, base in _sides_and_bases(p, args)
+    ]
     _emit(_report("analyze", params, {"analyses": analyses}), args.format)
     return EX_OK
 
@@ -250,18 +241,9 @@ def _cmd_oracle(args) -> int:
         "base": args.base,
         "oracle_cap": args.oracle_cap,
     }
-    try:
-        p = group.validate(args.m, args.k)
-    except group.InvalidPresentation as exc:
-        print(f"invalid presentation: {exc}", file=sys.stderr)
-        return EX_INVALID_PRESENTATION
-    try:
-        targets = _sides_and_bases(p, args)
-    except sigma.InvalidBase as exc:
-        print(f"invalid base: {exc}", file=sys.stderr)
-        return EX_INVALID_BASE
+    p = group.validate(args.m, args.k)
     checks = []
-    for label, base in targets:
+    for label, base in _sides_and_bases(p, args):
         rep = oracle.differential_check(p, base, cap=args.oracle_cap)
         checks.append(_check_payload(rep))
     _emit(_report("oracle", params, {"checks": checks}), args.format)
@@ -406,7 +388,14 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except group.InvalidPresentation as exc:
+        print(f"invalid presentation: {exc}", file=sys.stderr)
+        return EX_INVALID_PRESENTATION
+    except sigma.InvalidBase as exc:
+        print(f"invalid base: {exc}", file=sys.stderr)
+        return EX_INVALID_BASE
 
 
 def entry() -> None:

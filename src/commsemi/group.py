@@ -25,6 +25,10 @@ class InvalidPresentation(ValueError):
     """Base class for rejected (m, k) parameter pairs."""
 
 
+class OutOfRange(InvalidPresentation):
+    """m lies outside [2, 2^63) or k outside [0, m)."""
+
+
 class NotCoprimeK(InvalidPresentation):
     """k shares a factor with m, so a^b = a^k is not an automorphism."""
 
@@ -93,9 +97,8 @@ def _build(m: int, k: int) -> Presentation:
 
 def validate(m: int, k: int) -> Presentation:
     """Accept (m, k) only if G(m, ind_m(k), k) is non-abelian with trivial centre."""
-    zmod.check_modulus(m)
-    if not 0 <= k < m:
-        raise ValueError(f"k must lie in [0, {m}), got {k}")
+    if not (2 <= m <= zmod.MAX_MODULUS and 0 <= k < m):
+        raise OutOfRange(f"need 2 <= m < 2^63 and 0 <= k < m, got m = {m}, k = {k}")
     if zmod.gcd(m, k) != 1:
         raise NotCoprimeK(f"gcd({m}, {k}) = {zmod.gcd(m, k)} != 1")
     if k == 1:

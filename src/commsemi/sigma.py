@@ -8,10 +8,11 @@ containers C(x, y) with y ranging over
     Y(x) = {s*z : s* in S*, z in Z_m, some s in S has s*s* = x (mod m)}.
 
 Everything here works with that decomposition: D(x) is the witness set
-{s* in S* : some s in S has s*s* = x}, each family keeps only the
-divisibility-minimal canonical divisors of D(x) (maximal containers), and
-|Y(x)| is counted by a direct residue scan, which performs the
-inclusion-exclusion over overlapping containers exactly.
+{s* in S* : some s in S has s*s* = x}, kept only as its divisors
+gcd(s*, m), since s*Z_m = gcd(s*, m)Z_m.  Each family keeps the
+divisibility-minimal ones (maximal containers), and Y(x) is the union of
+their container ranges; the set union performs the inclusion-exclusion
+over overlapping containers exactly.
 
 The right and left commutation semigroups are the special cases
 S = R = {k^j - 1} and S = L = {-(k^j - 1)}.
@@ -33,10 +34,6 @@ SIDES = (RIGHT, LEFT)
 
 class InvalidBase(ValueError):
     """The proposed base is missing 0, has no unit, or is off-modulus."""
-
-
-class XNotInClosure(ValueError):
-    """A family was requested for an x outside S*."""
 
 
 @dataclass(frozen=True)
@@ -156,43 +153,22 @@ def _minimal_divisors(divisors: set[int]) -> frozenset[int]:
     )
 
 
-def _count_multiples(m: int, divisors: frozenset[int]) -> int:
-    # Exact union count over the divisor ideals; the scan is the
-    # inclusion-exclusion, so container overlaps need no special casing.
-    if 1 in divisors:
-        return m
-    ds = sorted(divisors)
-    return sum(1 for w in range(m) if any(w % d == 0 for d in ds))
-
-
-def _family_from_witnesses(m: int, x: int, witnesses: set[int]) -> Family:
-    gens_d = _minimal_divisors({math.gcd(w, m) for w in witnesses})
-    complete = 1 in gens_d
-    size = _count_multiples(m, gens_d)
-    maximal = tuple(Container(x, d) for d in sorted(gens_d))
-    return Family(x, gens_d, size, complete, maximal)
-
-
-def family(s: BaseSet, c: ClosedSet, x: int) -> Family:
-    """The x-family, computed from D(x) by scanning s* over S* for every s in S.
-
-    Scanning avoids the zero-divisor case analysis of solving s*s* = x
-    directly; the s* = 1 witness (present exactly when x is itself in S)
-    accounts for the generator maps mu(x, z).
-    """
-    if x not in c.elements:
-        raise XNotInClosure(f"{x} is not in the closure")
-    m = c.m
-    witnesses = {st for st in c.elements for b in s.elements if b * st % m == x}
-    return _family_from_witnesses(m, x, witnesses)
+def _family_codes(m: int, x: int, divisors: frozenset[int]) -> range | list[int]:
+    """The codes x*m + y of the x-family, ascending: y runs over the union
+    of the multiples of each divisor d (the container C(x; d))."""
+    base = x * m
+    if len(divisors) == 1:
+        (d,) = divisors
+        return range(base, base + m, d)
+    return sorted(set().union(*(range(base, base + m, d) for d in divisors)))
 
 
 def analyze(p: Presentation, s: BaseSet, *, verify: bool = False) -> SigmaAnalysis:
     """Full decomposition of the semigroup based on S.
 
-    One pass over S x S* fills every D(x) at once, so the whole analysis
-    costs what a single family query does.  With verify=True the cross
-    identities tying orbits to families are asserted on the result.
+    One pass over S x S* fills the divisors of every D(x) at once.  With
+    verify=True the cross identities tying orbits to families are asserted
+    on the result.
     """
     if s.m != p.m:
         raise InvalidBase(f"base modulus {s.m} does not match presentation modulus {p.m}")
@@ -200,18 +176,23 @@ def analyze(p: Presentation, s: BaseSet, *, verify: bool = False) -> SigmaAnalys
     closed = closure(s)
     orbs = orbits(s, closed)
 
-    witnesses: dict[int, set[int]] = {x: set() for x in closed.elements}
+    # a witness s* of x enters its family only through gcd(s*, m)
+    gcd_of = {st: math.gcd(st, m) for st in closed.elements}
+    divisors: dict[int, set[int]] = {x: set() for x in closed.elements}
     for b in s.elements:
-        for st in closed.elements:
-            witnesses[b * st % m].add(st)
+        for st, d in gcd_of.items():
+            divisors[b * st % m].add(d)
 
-    families = tuple(
-        _family_from_witnesses(m, x, witnesses[x]) for x in sorted(closed.elements)
-    )
+    families = []
+    for x in sorted(closed.elements):
+        gens_d = _minimal_divisors(divisors[x])
+        size = len(_family_codes(m, 0, gens_d))
+        maximal = tuple(Container(x, d) for d in sorted(gens_d))
+        families.append(Family(x, gens_d, size, 1 in gens_d, maximal))
     total = sum(f.y_set_size for f in families)
     complete = all(o.basic for o in orbs)
 
-    analysis = SigmaAnalysis(p, s, closed, orbs, families, total, complete)
+    analysis = SigmaAnalysis(p, s, closed, orbs, tuple(families), total, complete)
     if verify:
         _verify(analysis)
     return analysis
@@ -244,12 +225,7 @@ def element_codes(a: SigmaAnalysis) -> list[int]:
     m = a.presentation.m
     out = []
     for f in a.families:
-        base = f.x * m
-        if f.complete:
-            out.extend(range(base, base + m))
-        else:
-            ds = sorted(f.generators_d)
-            out.extend(base + w for w in range(m) if any(w % d == 0 for d in ds))
+        out.extend(_family_codes(m, f.x, f.generators_d))
     return out
 
 

@@ -16,6 +16,7 @@ report zero violations on every range.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -120,10 +121,13 @@ def scan(m_lo: int, m_hi: int, jobs: int = 1) -> list[ScanRecord]:
     if not 2 <= m_lo <= m_hi:
         raise ValueError(f"bad scan range [{m_lo}, {m_hi}]")
     moduli = range(m_lo, m_hi + 1)
-    if jobs <= 1:
+    # a forked pool starts every worker at the first submit, so more workers
+    # than moduli or cores only costs processes
+    workers = min(jobs, len(moduli), os.cpu_count() or 1)
+    if workers <= 1:
         chunks = map(_scan_one_modulus, moduli)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_one_modulus, moduli, chunksize=4))
     return [rec for chunk in chunks for rec in chunk]
 

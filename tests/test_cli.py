@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from commsemi import cli
+from commsemi import cli, sigma
 
 
 def run(capsys, *argv):
@@ -185,6 +188,46 @@ def test_bad_counts_are_usage_errors(capsys, argv):
     assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == "" and "must be a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--m", "7", "--k", "9"),
+        ("analyze", "--m", "7", "--k", "-1"),
+        ("oracle", "--m", "1", "--k", "0"),
+    ],
+)
+def test_out_of_range_is_invalid_presentation(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.count("\n") == 1 and "invalid presentation" in err
+    if argv[0] == "validate":
+        assert json.loads(out)["payload"]["reason"] == "OutOfRange"
+    else:
+        assert out == ""
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["validate", "analyze", "oracle"]),
+    m=st.integers(-2, 40),
+    k=st.integers(-3, 45),
+    side=st.sampled_from([*sigma.SIDES, "both"]),
+)
+@example(command="validate", m=7, k=9, side="both")
+@example(command="analyze", m=7, k=-1, side="both")
+@example(command="oracle", m=1, k=0, side="both")
+def test_every_m_k_answers_or_exits_documented(command, m, k, side):
+    argv = [command, "--m", str(m), "--k", str(k)]
+    if command != "validate":
+        argv += ["--side", side]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert 0 <= code <= 5
+    if out.getvalue():
+        json.loads(out.getvalue())  # exactly one JSON document
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -125,19 +126,19 @@ class TestOrbits:
             assert seen == c.elements
 
 
+def families_of(p, base):
+    return {f.x: f for f in sigma.analyze(p, base).families}
+
+
 class TestFamily:
     def test_nine_family(self, g63):
-        s = sigma.right_base(g63)
-        c = sigma.closure(s)
-        f = sigma.family(s, c, 9)
+        f = families_of(g63, sigma.right_base(g63))[9]
         assert f.maximal_containers == (Container(9, 3),)
         assert f.y_set_size == 21
         assert not f.complete
 
     def test_twentyone_family(self, g63):
-        s = sigma.right_base(g63)
-        c = sigma.closure(s)
-        f = sigma.family(s, c, 21)
+        f = families_of(g63, sigma.right_base(g63))[21]
         assert f.maximal_containers == (Container(21, 3), Container(21, 7))
         assert f.y_set_size == 21 + 9 - 3
 
@@ -145,33 +146,28 @@ class TestFamily:
         # 15 * 7 = 42 (mod 63) with 15 in R and 7 in R*, so C(42; 7) joins
         # C(42; 3); size matches the x = 21 family.  (Cross-checked against
         # both brute-force oracles in the oracle suite.)
-        s = sigma.right_base(g63)
-        c = sigma.closure(s)
-        f = sigma.family(s, c, 42)
+        f = families_of(g63, sigma.right_base(g63))[42]
         assert f.maximal_containers == (Container(42, 3), Container(42, 7))
         assert f.y_set_size == 27
 
     def test_basic_x_family_is_maximal_container(self, g63):
-        s = sigma.right_base(g63)
-        c = sigma.closure(s)
-        f = sigma.family(s, c, 1)
+        f = families_of(g63, sigma.right_base(g63))[1]
         assert f.complete
         assert f.maximal_containers == (Container(1, 1),)
         assert f.y_set_size == 63
 
     def test_x_outside_closure_rejected(self, g63):
         s = sigma.right_base(g63)
-        c = sigma.closure(s)
-        assert 2 not in c.elements
-        with pytest.raises(sigma.XNotInClosure):
-            sigma.family(s, c, 2)
+        assert 2 not in sigma.closure(s).elements
+        assert 2 not in families_of(g63, s)
 
     def test_family_size_matches_triple_enumeration(self, g5):
         # brute Y(x): all distinct s*.z over witnesses, tiny groups only
         for base in (sigma.right_base(g5), sigma.make_base(5, [0, 4])):
             c = sigma.closure(base)
+            fams = families_of(g5, base)
+            assert set(fams) == c.elements
             for x in c.elements:
-                f = sigma.family(base, c, x)
                 ys = {
                     st * z % 5
                     for st in c.elements
@@ -179,16 +175,31 @@ class TestFamily:
                     if s * st % 5 == x
                     for z in range(5)
                 }
-                assert f.y_set_size == len(ys)
+                assert fams[x].y_set_size == len(ys)
 
     def test_family_size_matches_triple_enumeration_63(self, g63):
         base = sigma.right_base(g63)
         c = sigma.closure(base)
+        fams = families_of(g63, base)
+        assert set(fams) == c.elements
         for x in sorted(c.elements):
-            f = sigma.family(base, c, x)
             witnesses = {st for st in c.elements for b in base.elements if b * st % 63 == x}
             ys = {st * z % 63 for st in witnesses for z in range(63)}
-            assert f.y_set_size == len(ys), x
+            assert fams[x].y_set_size == len(ys), x
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def test_family_codes_match_definition():
+    # every m <= 60, every set of at most three divisors of m, two x each
+    for m in range(1, 61):
+        for r in range(4):
+            for ds in itertools.combinations(_divisors(m), r):
+                for x in (0, m - 1):
+                    want = [x * m + w for w in range(m) if any(w % d == 0 for d in ds)]
+                    assert list(sigma._family_codes(m, x, frozenset(ds))) == want, (m, x, ds)
 
 
 class TestAnalyze:

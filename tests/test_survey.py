@@ -34,6 +34,31 @@ class TestScan:
     def test_parallel_matches_serial(self):
         assert survey.scan(3, 40, jobs=2) == survey.scan(3, 40)
 
+    def test_worker_count_capped(self, monkeypatch):
+        # a fake pool records max_workers and maps serially: no process starts
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 3)
+        assert survey.scan(3, 12, jobs=100000) == survey.scan(3, 12)
+        assert survey.scan(3, 4, jobs=100000) == survey.scan(3, 4)
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: None)
+        assert survey.scan(3, 12, jobs=8) == survey.scan(3, 12)
+        assert seen == [3, 2]
+
     def test_bad_range(self):
         with pytest.raises(ValueError):
             survey.scan(10, 5)
