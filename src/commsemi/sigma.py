@@ -14,6 +14,16 @@ divisibility-minimal ones (maximal containers), and Y(x) is the union of
 their container ranges; the set union performs the inclusion-exclusion
 over overlapping containers exactly.
 
+The engine works on orbits.  The unit group U = I(S*) is generated by the
+units of S, S* is a union of U-orbits x*U, and the divisors of D(x) are
+the same for every x of one orbit (b*(r*u) = (b*r)*u and
+gcd(r*u, m) = gcd(r, m)).  So closure grows S* an orbit at a time, and
+analyze fills D once per orbit from its representative.  With gens the
+generators that enlarge U (at most log2 |U| of them), the cost is
+O(|U|*gens + orbits*(|U| + |S|) + |S*|*|D|) rather than O(|S|*|S*|): at
+prime m, where U is every unit and there are two orbits, it is about
+linear in m.
+
 The right and left commutation semigroups are the special cases
 S = R = {k^j - 1} and S = L = {-(k^j - 1)}.
 """
@@ -110,23 +120,54 @@ def left_base(p: Presentation) -> BaseSet:
     return make_base(p.m, ((-t) % p.m for t in p.k_sub[: p.n]))
 
 
+def _unit_group(m: int, gens) -> tuple[list[int], list[int]]:
+    """<gens> for units gens of Z_m, by coset extension (Dimino): each
+    generator g not yet in H appends the cosets gH, g^2H, ... until the next
+    power of g is back in H; Z_m^* is abelian, so these cosets make <H, g>.
+    Returns the elements and the generators that enlarged the group."""
+    one = 1 % m
+    elements, members, enlarging = [one], {one}, []
+    for g in gens:
+        if g in members:
+            continue
+        enlarging.append(g)
+        h = elements[:]
+        coset_rep = g
+        while coset_rep not in members:
+            coset = [coset_rep * e % m for e in h]
+            elements.extend(coset)
+            members.update(coset)
+            coset_rep = coset_rep * g % m
+    return elements, enlarging
+
+
+def _base_units(s: BaseSet) -> list[int]:
+    return sorted(e for e in s.elements if math.gcd(e, s.m) == 1)
+
+
 def closure(s: BaseSet) -> ClosedSet:
-    """Least multiplicatively closed superset of S, split into units/non-units."""
+    """Least multiplicatively closed superset of S, split into units/non-units.
+
+    A product with a non-unit factor is a non-unit, so the units of S* form
+    U = <units of S>, built by coset extension in O(|U| log |U|).  S* is a
+    union of U-orbits, grown from the orbit of 1 by a worklist over orbit
+    representatives times the non-unit elements of S only: a unit of S maps
+    every orbit to itself, and S itself enters at the first step, as 1*b.
+    Cost O(|U| log |U| + orbits*(|U| + |S|)).
+    """
     m = s.m
-    cur = set(s.elements)
-    gens = sorted(s.elements)
-    frontier = list(cur)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens:
-                v = a * g % m
-                if v not in cur:
-                    cur.add(v)
-                    fresh.append(v)
-        frontier = fresh
-    units = frozenset(u for u in cur if math.gcd(u, m) == 1)
-    return ClosedSet(m, frozenset(cur), units, frozenset(cur - units))
+    units, _ = _unit_group(m, _base_units(s))
+    non_unit_gens = sorted(e for e in s.elements if math.gcd(e, m) != 1)
+    elements = set(units)
+    reps = [units[0]]
+    for r in reps:  # the worklist: reps grows while it is walked
+        for b in non_unit_gens:
+            v = r * b % m
+            if v not in elements:
+                elements.update(v * u % m for u in units)
+                reps.append(v)
+    closed, unit_set = frozenset(elements), frozenset(units)
+    return ClosedSet(m, closed, unit_set, closed - unit_set)
 
 
 def orbits(s: BaseSet, c: ClosedSet) -> list[Orbit]:
@@ -166,29 +207,39 @@ def _family_codes(m: int, x: int, divisors: frozenset[int]) -> range | list[int]
 def analyze(p: Presentation, s: BaseSet, *, verify: bool = False) -> SigmaAnalysis:
     """Full decomposition of the semigroup based on S.
 
-    One pass over S x S* fills the divisors of every D(x) at once.  With
-    verify=True the cross identities tying orbits to families are asserted
-    on the result.
+    The divisors of D(x) are the same on each U-orbit, since
+    b*(r*u) = (b*r)*u and gcd(r*u, m) = gcd(r, m).  So one pass over orbit
+    representatives r and b in S fills them all, adding gcd(r, m) to the
+    orbit of b*r.  The minimal divisors, the family size and completeness
+    are then worked out once per orbit and shared by its families.  Cost
+    O(orbits*|S| + |S*|*|D|) on top of closure and orbits.  With verify=True
+    the closure and the cross identities tying orbits to families are
+    asserted on the result.
     """
     if s.m != p.m:
         raise InvalidBase(f"base modulus {s.m} does not match presentation modulus {p.m}")
     m = p.m
     closed = closure(s)
-    orbs = orbits(s, closed)
+    orbs = tuple(orbits(s, closed))
+    orbit_of = {x: i for i, o in enumerate(orbs) for x in o.elements}
 
-    # a witness s* of x enters its family only through gcd(s*, m)
-    gcd_of = {st: math.gcd(st, m) for st in closed.elements}
-    divisors: dict[int, set[int]] = {x: set() for x in closed.elements}
-    for b in s.elements:
-        for st, d in gcd_of.items():
-            divisors[b * st % m].add(d)
+    divisors: list[set[int]] = [set() for _ in orbs]
+    for o in orbs:
+        r = o.representative
+        d = math.gcd(r, m)
+        for b in s.elements:
+            divisors[orbit_of[b * r % m]].add(d)
+
+    per_orbit = []
+    for ds in divisors:
+        gens_d = _minimal_divisors(ds)
+        per_orbit.append((gens_d, len(_family_codes(m, 0, gens_d)), 1 in gens_d, sorted(gens_d)))
 
     families = []
     for x in sorted(closed.elements):
-        gens_d = _minimal_divisors(divisors[x])
-        size = len(_family_codes(m, 0, gens_d))
-        maximal = tuple(Container(x, d) for d in sorted(gens_d))
-        families.append(Family(x, gens_d, size, 1 in gens_d, maximal))
+        gens_d, size, family_complete, ds = per_orbit[orbit_of[x]]
+        maximal = tuple(Container(x, d) for d in ds)
+        families.append(Family(x, gens_d, size, family_complete, maximal))
     total = sum(f.y_set_size for f in families)
     complete = all(o.basic for o in orbs)
 
@@ -199,25 +250,41 @@ def analyze(p: Presentation, s: BaseSet, *, verify: bool = False) -> SigmaAnalys
 
 
 def _verify(a: SigmaAnalysis) -> None:
-    """Internal consistency: the orbit/family correspondences must agree."""
-    m = a.closure.m
+    """Internal consistency: S* must be closed, and the orbit/family
+    correspondences must agree.
+
+    Closure is checked at orbit level: every orbit must be r*I(S*) for its
+    representative r, I(S*) must be closed under the generators of
+    <units of S>, and r*s must lie in S* for each r and s in S; then
+    (r*u)*s = (r*s)*u lies in S* too.
+    """
+    c = a.closure
+    m = c.m
+    assert a.base.elements <= c.elements, "S must lie in S*"
+    assert c.units == {x for x in c.elements if math.gcd(x, m) == 1}
+    assert c.non_units == c.elements - c.units
+    _, unit_gens = _unit_group(m, _base_units(a.base))
+    assert all(u * g % m in c.units for g in unit_gens for u in c.units), "I(S*) must be closed"
+    for orb in a.orbits:
+        r = orb.representative
+        assert orb.elements == {r * u % m for u in c.units}, f"orbit of {r} must be r*I(S*)"
+        assert all(r * b % m in c.elements for b in a.base.elements), f"{r}*S must lie in S*"
+
     basic_of = {}
     for orb in a.orbits:
         for x in orb.elements:
             basic_of[x] = orb.basic
-    assert set(basic_of) == set(a.closure.elements), "orbits must partition S*"
-    assert sum(len(o.elements) for o in a.orbits) == len(a.closure.elements)
+    assert set(basic_of) == set(c.elements), "orbits must partition S*"
+    assert sum(len(o.elements) for o in a.orbits) == len(c.elements)
     for f in a.families:
         # an orbit is basic iff its families are complete
         assert f.complete == basic_of[f.x], f"x={f.x}: completeness/basicness mismatch"
         assert f.generators_d, f"x={f.x}: empty witness set"
     for orb in a.orbits:
-        if orb.representative in a.closure.units or not orb.elements.isdisjoint(
-            a.base.elements
-        ):
+        if orb.representative in c.units or not orb.elements.isdisjoint(a.base.elements):
             assert orb.basic  # unit orbits and base-meeting orbits are basic
     if a.complete:
-        assert a.total_order == m * len(a.closure.elements)
+        assert a.total_order == m * len(c.elements)
 
 
 def element_codes(a: SigmaAnalysis) -> list[int]:

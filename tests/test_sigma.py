@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
-from commsemi import group, sigma
+from commsemi import group, sigma, survey
 from commsemi.container import Container
 from commsemi.mumap import MuMap
 
@@ -271,3 +273,173 @@ class TestEnumerate:
         a = sigma.analyze(g63, sigma.right_base(g63))
         codes = sigma.element_codes(a)
         assert [MuMap(*divmod(c, 63)) for c in codes] == sigma.enumerate_elements(a)
+
+
+# ---------------------------------------------------------------------------
+# the definition-level reference: the quadratic route the orbit engine
+# replaced, a frontier BFS over S* x S for the closure and one pass over
+# S x S* for the witness divisors of every x
+
+
+def reference_closure(s):
+    m = s.m
+    cur = set(s.elements)
+    frontier = list(cur)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in s.elements:
+                v = a * g % m
+                if v not in cur:
+                    cur.add(v)
+                    fresh.append(v)
+        frontier = fresh
+    units = frozenset(u for u in cur if math.gcd(u, m) == 1)
+    return sigma.ClosedSet(m, frozenset(cur), units, frozenset(cur - units))
+
+
+def reference_analyze(p, s):
+    m = p.m
+    closed = reference_closure(s)
+    orbs, seen = [], set()
+    for x in sorted(closed.elements):
+        if x not in seen:
+            orb = frozenset(x * u % m for u in closed.units)
+            seen |= orb
+            orbs.append(sigma.Orbit(x, orb, not orb.isdisjoint(s.elements)))
+    divisors = {x: set() for x in closed.elements}
+    for b in s.elements:
+        for st in closed.elements:
+            divisors[b * st % m].add(math.gcd(st, m))
+    families = []
+    for x in sorted(closed.elements):
+        gens_d = sigma._minimal_divisors(divisors[x])
+        size = len(sigma._family_codes(m, 0, gens_d))
+        maximal = tuple(Container(x, d) for d in sorted(gens_d))
+        families.append(sigma.Family(x, gens_d, size, 1 in gens_d, maximal))
+    return sigma.SigmaAnalysis(
+        p, s, closed, tuple(orbs), tuple(families),
+        sum(f.y_set_size for f in families), all(o.basic for o in orbs),
+    )
+
+
+def _random_bases(rng, m, count):
+    """Bases holding 0, one unit and a random handful of other residues."""
+    units = [u for u in range(m) if math.gcd(u, m) == 1]
+    for _ in range(count):
+        extra = rng.sample(range(m), rng.randint(0, min(m, 6)))
+        yield sigma.make_base(m, [0, rng.choice(units), *extra])
+
+
+class TestOrbitEngine:
+    def test_matches_reference_on_every_small_group(self):
+        cases = 0
+        for m in range(3, 100):
+            for p in survey.validated_presentations(m):
+                for side in sigma.SIDES:
+                    base = survey.base_for(p, side)
+                    a = sigma.analyze(p, base, verify=True)
+                    assert a == reference_analyze(p, base), (m, p.k, side)
+                    cases += 1
+        assert cases == 3146
+
+    def test_matches_reference_on_random_bases(self):
+        rng = random.Random(20240611)
+        cases = 0
+        for m in range(3, 61):
+            p = group.unchecked(m, m - 1)
+            for base in _random_bases(rng, m, 8):
+                assert sigma.analyze(p, base, verify=True) == reference_analyze(p, base), (
+                    m, sorted(base.elements),
+                )
+                cases += 1
+        assert cases == 58 * 8
+
+    def test_units_are_the_generated_group(self):
+        # closure(s).units against the brute-force multiplicative closure of
+        # the units of S for every m <= 150: on {0, 1} (S & units = {1}), on
+        # three random unit subsets, and on R and L of every presentation of m
+        def brute_units(s):
+            gens = [e for e in s.elements if math.gcd(e, s.m) == 1]
+            group_ = set(gens)
+            frontier = list(gens)
+            while frontier:
+                fresh = [u * g % s.m for u in frontier for g in gens]
+                frontier = [v for v in set(fresh) if v not in group_]
+                group_.update(frontier)
+            return frozenset(group_)
+
+        rng = random.Random(150)
+        trivial = 0
+        for m in range(3, 151):
+            bases = [sigma.make_base(m, [0, 1])]
+            units = [u for u in range(2, m) if math.gcd(u, m) == 1]
+            non_units = [e for e in range(m) if math.gcd(e, m) != 1]
+            for _ in range(3):
+                picked = rng.sample(units, rng.randint(0, min(len(units), 4)))
+                bases.append(sigma.make_base(m, [0, 1, *picked, *rng.sample(non_units, 1)]))
+            for p in survey.validated_presentations(m):
+                bases += [sigma.right_base(p), sigma.left_base(p)]
+            for base in bases:
+                units_of_s = {e for e in base.elements if math.gcd(e, m) == 1}
+                trivial += units_of_s == {1}
+                assert sigma.closure(base).units == brute_units(base), (m, sorted(base.elements))
+        assert trivial >= 148
+
+    def test_unit_group_by_coset_extension(self):
+        # 2 has order 6 mod 21 and 4 = 2^2 adds nothing; 5 lies outside <2>,
+        # and <2, 5> is all 12 units of Z_21
+        elements, enlarging = sigma._unit_group(21, [2, 4, 5])
+        assert sorted(elements) == [u for u in range(21) if math.gcd(u, 21) == 1]
+        assert len(elements) == len(set(elements))
+        assert enlarging == [2, 5]
+        assert sigma._unit_group(21, []) == ([1], [])
+
+    def test_analysis_is_hashable_and_frozen(self, g63):
+        a = sigma.analyze(g63, sigma.right_base(g63))
+        assert isinstance(a.orbits, tuple)
+        assert hash(a) == hash(sigma.analyze(g63, sigma.right_base(g63)))
+        with pytest.raises(AttributeError):
+            a.orbits.append(a.orbits[0])
+
+    def test_prime_8009_at_scale(self):
+        p = group.validate(8009, 3)
+        assert p.n == 8008
+        for base in (sigma.right_base(p), sigma.left_base(p)):
+            a = sigma.analyze(p, base)
+            assert a.complete
+            assert len(a.closure.elements) == 8009
+            assert len(a.orbits) == 2
+            assert a.total_order == 8009**2 == 64144081
+
+
+class TestVerify:
+    def test_verify_rejects_an_unclosed_closure(self, g63):
+        # drop the non-basic orbit of 21 (and its family): the rest still
+        # partitions, but 21 = 3 * 7 leaves S* and verify must say so
+        a = sigma.analyze(g63, sigma.right_base(g63))
+        c = a.closure
+        closed = sigma.ClosedSet(63, c.elements - {21}, c.units, c.non_units - {21})
+        broken = dataclasses.replace(
+            a,
+            closure=closed,
+            orbits=tuple(o for o in a.orbits if o.representative != 21),
+            families=tuple(f for f in a.families if f.x != 21),
+        )
+        with pytest.raises(AssertionError, match=r"\d\*S must lie in S\*"):
+            sigma._verify(broken)
+
+    def test_verify_rejects_units_missing_a_generator_power(self, g63):
+        # 4 = 31^3 is in I(R*) of G(63,6,2), generated by 31 in R; take 4
+        # out of the units and out of its orbit
+        a = sigma.analyze(g63, sigma.right_base(g63))
+        c = a.closure
+        closed = sigma.ClosedSet(63, c.elements - {4}, c.units - {4}, c.non_units)
+        orbits = tuple(
+            sigma.Orbit(o.representative, o.elements - {4}, o.basic) for o in a.orbits
+        )
+        broken = dataclasses.replace(
+            a, closure=closed, orbits=orbits, families=tuple(f for f in a.families if f.x != 4)
+        )
+        with pytest.raises(AssertionError, match=r"I\(S\*\) must be closed"):
+            sigma._verify(broken)
