@@ -11,17 +11,25 @@ engine:
 
 Tables are uint16 rows of a-exponents, one row per map (every commutation
 map lands in <a>; the builder checks that instead of assuming it).  One
-grid build makes the right-side tables x -> [x, h]; the left side
-x -> [h, x] = [x, h]^-1 is their pointwise negation.  One worklist closure
-(`_close`) serves the exact table closure, the closures of the generator
-restrictions to <a>, and the dedupe of those restrictions.  For bulk
-sweeps the module also offers a fingerprint variant of the table oracle:
-candidate tables are deduplicated by two independent random-linear hashes
-(exact in float64), a universal-hashing scheme whose collision bound is
-independent of the algebra under test; the per-group closure stays exact at
-byte level.  A differential check compares the table closure with the
-tables of the engine's maps row by row, and a mismatch names a witness
-mu-map whichever side holds the extra row.
+grid build makes the right-side tables x -> [x, h], one b-class of h at a
+time in int32 (inside a class the product is an outer product plus two
+broadcast adds); the left side x -> [h, x] = [x, h]^-1 is their pointwise
+negation.  One worklist closure (`_close`) serves the exact table closure,
+the closures of the generator restrictions to <a>, and the dedupe of those
+restrictions.  For bulk sweeps the module also offers a fingerprint
+variant of the table oracle: candidate tables are deduplicated by two
+independent random-linear hashes (exact in float64, since every partial
+sum is an integer below 2^53), a universal-hashing scheme whose collision
+bound is independent of the algebra under test; the per-group closure
+stays exact at byte level.  The hashes are read off weight histograms,
+one bincount pass per block, never a product over whole tables.  Every
+dedupe of codes or fingerprints is a sort plus a neighbour compare
+(`_sorted_unique`): numpy's hash-based `np.unique` is several times slower
+on these integer arrays.  Temporaries are blocked at `_GRID_ENTRIES`
+entries.  A differential check reads each closure row back as the mu-map
+it can be, compares those codes with the engine's and each row with the
+table of its code, and a mismatch names a witness mu-map whichever side
+holds the extra map.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ DEFAULT_TABLE_CAP = 4000
 # fingerprints, and the exactness bound below never depends on the seed.
 _FP_SEED = 0x5EC7
 _FP_BITS = 26
+# Entries per int grid block (grid builds, histograms, mu-map tables): caps
+# the temporaries at a few tens of MB whatever the group order.
+_GRID_ENTRIES = 4_000_000
 
 
 class CapExceeded(ValueError):
@@ -62,23 +73,42 @@ def pair_closure_codes(p: Presentation, gen_codes: np.ndarray) -> np.ndarray:
 
     Composing on the right with generators only suffices (every product
     reduces to gen.gen...gen), and one partner per distinct x does too: the
-    composition law never reads the partner's y.
+    composition law never reads the partner's y.  Each round marks its
+    products in a boolean `fresh` mask beside the m*m `seen` table, so a
+    round dedupes by scattering, with no sort and no concatenated batch.
     """
     m = p.m
     if m * m > (1 << 31):
         raise ValueError(f"pair oracle needs an m*m membership table; m={m} is too large")
     seen = np.zeros(m * m, dtype=bool)
-    frontier = np.unique(np.asarray(gen_codes, dtype=np.int64))
+    fresh = np.zeros_like(seen)
+    frontier = _sorted_unique(np.asarray(gen_codes, dtype=np.int64))
     seen[frontier] = True
-    partner_xs = np.unique(frontier // m)
+    partner_xs = _sorted_unique(frontier // m)
     while frontier.size:
-        x, y = frontier // m, frontier % m
-        batches = [(x * s % m) * m + (y * s % m) for s in partner_xs]
-        cand = np.unique(np.concatenate(batches))
-        cand = cand[~seen[cand]]
-        seen[cand] = True
-        frontier = cand
+        x, y = np.divmod(frontier, m)
+        for s in partner_xs:
+            fresh[(x * s % m) * m + (y * s % m)] = True
+        np.greater(fresh, seen, out=fresh)  # not yet seen; also clears the last round
+        frontier = np.flatnonzero(fresh)
+        seen[frontier] = True
     return np.flatnonzero(seen)
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) by sorting and keeping each value unlike its left neighbour.
+
+    np.unique dedupes integer arrays through a hash table in recent numpy,
+    which is several times slower than a sort on the int64/uint64 codes and
+    fingerprints deduplicated here.
+    """
+    a = np.sort(a, axis=None)
+    if a.size:
+        keep = np.empty(a.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(a[1:], a[:-1], out=keep[1:])
+        a = a[keep]
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +133,20 @@ def _generator_tables(p: Presentation, side: str) -> tuple[np.ndarray, np.ndarra
     """Commutation-map tables for one side (one row per h in G, a-exponent
     entries) plus the distinct restrictions to <a>.
 
-    One grid build makes the right side x -> [x, h] by three normal-form
-    products; the left side x -> [h, x] = [x, h]^-1 is its pointwise
-    negation v -> (m - v) % m.  The b-exponents telescope to zero (every
-    commutator lands in <a>), so only a-exponents are tracked; the build is
-    spot-checked here against the scalar commutator, and exhaustively in
-    the test suite.  All intermediate sums stay under 3*m^2 (int32-safe
-    whenever the table cap admits the group).
+    One grid build makes the right side x -> [x, h] = ((x^-1 h^-1) x) h by
+    three normal-form products; the left side x -> [h, x] = [x, h]^-1 is
+    its pointwise negation v -> (m - v) % m.  The b-exponents telescope to
+    zero (every commutator lands in <a>), so only a-exponents are tracked.
+    The grid is built one class of h at a time, the class holding the h
+    whose inverse has b-exponent t.  Within a class the b-exponent of
+    x^-1 h^-1 is fixed by x alone, so the rows are
+
+        [x, h] = ii(h) * c^(j(x^-1)) + (i(x) * c^((j(x^-1) + t) % n) + ii(x)) + i(h) * c^t
+
+    with ii the a-exponent of the inverse: one outer product and two
+    broadcast adds in int32, with no 2-D gather.  All sums stay under
+    3*m^2 (int32-safe, checked below).  The build is spot-checked here
+    against the scalar commutator, and exhaustively in the test suite.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -118,19 +155,21 @@ def _generator_tables(p: Presentation, side: str) -> tuple[np.ndarray, np.ndarra
     if 3 * m * m >= 1 << 31:
         raise CapExceeded(f"modulus {m} too large for int32 table construction")
     xi, xii, xij, cpow = _vec_group(p)
-    cpow2 = np.concatenate([cpow[:n], cpow[:n]])  # cpow[(u+v) % n] == cpow2[u+v]
     cp1 = cpow[xij]
 
     tables = np.empty((mn, mn), dtype=np.uint16)
-    block = max(1, 4_000_000 // mn)
-    for lo in range(0, mn, block):
-        hs = np.arange(lo, min(lo + block, mn), dtype=np.int64)
-        hi, hii, hij = xi[hs], xii[hs], xij[hs]
-        # [x, h] = ((x^-1 h^-1) x) h; rows x, columns h
-        t = xii[:, None] + hii[None, :] * cp1[:, None]
-        t += xi[:, None] * cpow2[xij[:, None] + hij[None, :]]
-        t += (hi * cpow[hij])[None, :]
-        tables[hs] = (t % m).T
+    block = max(1, _GRID_ENTRIES // mn)
+    for t in range(n):
+        # elements are a^i b^j at index i*n + j, and inverting sends j to (n - j) % n
+        hs = slice((n - t) % n, mn, n)
+        rows, hii, h_term = tables[hs], xii[hs], xi[hs] * cpow[t]
+        x_term = xi * cpow[(xij + t) % n] + xii
+        for lo in range(0, m, block):
+            grid = np.outer(hii[lo : lo + block], cp1)
+            grid += x_term
+            grid += h_term[lo : lo + block, None]
+            grid %= m
+            rows[lo : lo + block] = grid
     if side == LEFT:
         tables = (m - tables) % m
 
@@ -224,7 +263,7 @@ def _mu_tables(p: Presentation, codes) -> np.ndarray:
     a_vec, b_vec = _translation_vectors(p)
     codes = np.asarray(codes, dtype=np.int64)
     rows = np.empty((codes.size, a_vec.size), dtype=np.uint16)
-    block = max(1, 4_000_000 // a_vec.size)
+    block = max(1, _GRID_ENTRIES // a_vec.size)
     for lo in range(0, codes.size, block):
         x, y = np.divmod(codes[lo : lo + block, None], m)
         rows[lo : lo + block] = (x * a_vec - y * b_vec) % m
@@ -260,38 +299,38 @@ def _combine64(fp0: np.ndarray, fp1: np.ndarray) -> np.ndarray:
 def _fingerprint_build(p: Presentation, seed: int):
     """Per-side hash data for the fingerprint oracle, built from one pass.
 
-    The right-side tables are built raw; the left side follows from the
-    pointwise commutator inversion [h, x] = [x, h]^-1, which on a-exponents
-    is v -> (m - v) % m.  That negation turns each weight histogram row
-    into an index flip and each generator hash into
-    m*sum(w) - h - m*W[h, 0], all exact in int64.
+    For each generator table g the pass builds the weight histograms
+    W_g[v] = sum of w_e over the entries e with g[e] = v, by one bincount
+    over (row, value) keys.  The generator hashes follow from them as
+    w . g = sum_v v * W_g[v] = W_g @ arange(m): a float64 product that is
+    exact, because every partial sum is an integer below 2^53
+    (`_check_fp_exact`).  The right-side tables are built raw; the left
+    side follows from the pointwise commutator inversion
+    [h, x] = [x, h]^-1, which on a-exponents is v -> (m - v) % m.  That
+    negation turns each histogram row into an index flip and each
+    generator hash into m*sum(w) - h - m*W[h, 0], all exact in int64.
     """
     m, n = p.m, p.n
     mn = m * n
     _check_fp_exact(m, mn)
     w = _fp_weights(mn, seed)
-    wf = w.T.astype(np.float64)  # (mn, 2)
-    w0f = np.ascontiguousarray(wf[:, 0])
-    w1f = np.ascontiguousarray(wf[:, 1])
     wsum = w.sum(axis=1)  # (2,)
 
     tables, restr_r = _generator_tables(p, RIGHT)
     g_count = tables.shape[0]
-    gen_fp_r = np.empty((g_count, 2), dtype=np.int64)
     wg_r = np.empty((2, g_count, m), dtype=np.float64)
-    block = max(1, 4_000_000 // mn)
+    block = max(1, min(g_count, _GRID_ENTRIES // mn))
+    w_rows = np.tile(w.astype(np.float64), block)  # (2, block*mn), one weight row per table
     row_base = np.arange(block, dtype=np.int64)[:, None] * m
+    key = np.empty((block, mn), dtype=np.int64)  # (row, value) keys, reused by every block
     for lo in range(0, g_count, block):
-        gb = tables[lo : lo + block].astype(np.int64)
-        nb = gb.shape[0]
-        gen_fp_r[lo : lo + nb] = (gb.astype(np.float64) @ wf).astype(np.int64)
-        key = (row_base[:nb] + gb).ravel()
-        wg_r[0, lo : lo + nb] = np.bincount(
-            key, weights=np.broadcast_to(w0f, gb.shape).ravel(), minlength=nb * m
-        ).reshape(nb, m)
-        wg_r[1, lo : lo + nb] = np.bincount(
-            key, weights=np.broadcast_to(w1f, gb.shape).ravel(), minlength=nb * m
-        ).reshape(nb, m)
+        nb = min(block, g_count - lo)
+        np.add(row_base[:nb], tables[lo : lo + nb], out=key[:nb])
+        for s in range(2):
+            wg_r[s, lo : lo + nb] = np.bincount(
+                key[:nb].ravel(), weights=w_rows[s, : nb * mn], minlength=nb * m
+            ).reshape(nb, m)
+    gen_fp_r = (wg_r @ np.arange(m, dtype=np.float64)).T.astype(np.int64)
 
     flip = (m - np.arange(m)) % m
     wg_l = np.ascontiguousarray(wg_r[:, :, flip])
@@ -316,7 +355,8 @@ def table_fingerprints(
     g-preimage of v), so the whole set costs matrix multiplies instead of
     table materializations.  Distinct tables collide with probability
     about 2^-52 per pair (two independent 26-bit-weight hashes, folded to
-    one word); the result is a sorted uint64 vector.
+    one word); the result is a sorted uint64 vector, deduplicated by
+    `_sorted_unique`.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -328,7 +368,7 @@ def table_fingerprints(
     prod1 = rc_f @ wg[1].T
     fp0 = np.concatenate([gen_fp[:, 0], prod0.ravel().astype(np.int64)])
     fp1 = np.concatenate([gen_fp[:, 1], prod1.ravel().astype(np.int64)])
-    return np.unique(_combine64(fp0, fp1))
+    return _sorted_unique(_combine64(fp0, fp1))
 
 
 def mu_table_fingerprints(
@@ -345,58 +385,52 @@ def mu_table_fingerprints(
 
     where U = (x*A) mod m, ytab = (y*k_j) mod m, Wj sums the weights over
     each b-coset, and the carry weight adds w_e over the entries with
-    U[e] < ytab[j_e] -- recovered per coset from a prefix-summed weight
-    histogram instead of touching all m*n entries per map.  All arithmetic
-    is int64 and exact; returns the sorted uint64 fingerprint vector.
+    U[e] < ytab[j_e].  One pass serves every distinct x of a block at once:
+    a bincount over (x, j, u) keys gives the per-coset weight histograms,
+    w . U is that histogram times u, an exclusive cumsum gives the carry
+    weights below each u, and one fancy-index gather reads them for every
+    code.  Blocks of x keep the (x, element) grid at _GRID_ENTRIES.  Float
+    sums stay exact (integers below 2^53, `_check_fp_exact`); returns the
+    sorted uint64 fingerprint vector.
     """
     m, n = p.m, p.n
     a_vec, _ = _translation_vectors(p)
     mn = a_vec.size
     _check_fp_exact(m, mn)
     w = _fp_weights(mn, seed)
-    w0f, w1f = w[0].astype(np.float64), w[1].astype(np.float64)
-    codes = np.unique(np.asarray(codes, dtype=np.int64))
-    xs, ys = codes // m, codes % m
+    codes = _sorted_unique(np.asarray(codes, dtype=np.int64))
+    xs, ys = np.divmod(codes, m)
+    x_vals = _sorted_unique(xs)
+    x_of = np.searchsorted(x_vals, xs)  # index of each code's x
 
     j_of = np.arange(mn, dtype=np.int64) % n
     ksub = np.asarray(p.k_sub[:n], dtype=np.int64)
     # weight mass of each b-coset (exact: every partial sum stays below 2^38)
-    wj = np.stack(
-        [
-            np.bincount(j_of, weights=w0f, minlength=n),
-            np.bincount(j_of, weights=w1f, minlength=n),
-        ]
-    ).astype(np.int64)
+    wj = np.stack([np.bincount(j_of, weights=w[s], minlength=n) for s in range(2)])
+    ytab = np.outer(ys, ksub) % m  # (codes, n)
+    fp = -(ytab @ wj.astype(np.int64).T)  # (codes, 2)
 
-    key_base = j_of * m  # combined key (j, u) for the per-coset histograms
-    cols = np.arange(n)[None, :]
-    out = np.empty(codes.size, dtype=np.uint64)
-    pos = 0
-    for x in np.unique(xs):
-        yv = ys[xs == x]
-        u_full = (int(x) * a_vec) % m
-        dot_u = np.array([w[0] @ u_full, w[1] @ u_full], dtype=np.int64)
-
-        key = key_base + u_full
-        pref0 = np.zeros((n, m + 1), dtype=np.int64)
-        pref1 = np.zeros((n, m + 1), dtype=np.int64)
-        pref0[:, 1:] = np.cumsum(
-            np.bincount(key, weights=w0f, minlength=n * m).reshape(n, m), axis=1
-        )
-        pref1[:, 1:] = np.cumsum(
-            np.bincount(key, weights=w1f, minlength=n * m).reshape(n, m), axis=1
-        )
-
-        ytab = np.outer(yv, ksub) % m  # (cnt, n)
-        term2 = ytab @ wj.T  # (cnt, 2)
-        carry0 = pref0[cols, ytab].sum(axis=1)
-        carry1 = pref1[cols, ytab].sum(axis=1)
-
-        fp0 = dot_u[0] - term2[:, 0] + m * carry0
-        fp1 = dot_u[1] - term2[:, 1] + m * carry1
-        out[pos : pos + yv.size] = _combine64(fp0, fp1)
-        pos += yv.size
-    return np.unique(out)
+    block = max(1, min(x_vals.size, _GRID_ENTRIES // mn))
+    w_rows = np.tile(w.astype(np.float64), block)  # (2, block*mn)
+    key_base = (np.arange(block, dtype=np.int64)[:, None] * n + j_of) * m  # (x, j, 0)
+    u_of_key = np.tile(np.arange(m, dtype=np.float64), n)
+    for lo in range(0, x_vals.size, block):
+        xb = x_vals[lo : lo + block]
+        nb = xb.size
+        key = (xb[:, None] * a_vec) % m
+        key += key_base[:nb]
+        key = key.ravel()
+        c_lo, c_hi = np.searchsorted(x_of, [lo, lo + nb])
+        at = ((x_of[c_lo:c_hi] - lo)[:, None] * n + np.arange(n)) * m + ytab[c_lo:c_hi]
+        for s in range(2):
+            hist = np.bincount(key, weights=w_rows[s, : nb * mn], minlength=nb * mn)
+            dot_u = hist.reshape(nb, mn) @ u_of_key
+            below = np.cumsum(hist.reshape(nb * n, m), axis=1)
+            below -= hist.reshape(nb * n, m)
+            carry = below.ravel()[at].sum(axis=1)
+            fp[c_lo:c_hi, s] += dot_u[x_of[c_lo:c_hi] - lo].astype(np.int64)
+            fp[c_lo:c_hi, s] += m * carry.astype(np.int64)
+    return _sorted_unique(_combine64(fp[:, 0], fp[:, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +496,20 @@ def differential_check(
             table_status = "cap_exceeded"
         else:
             table_status = "ok"
-            table_rows = {row.tobytes() for row in table_closure(p, side, cap)}
-            mu_rows = {row.tobytes() for row in _mu_tables(p, engine_codes)}
-            table_order = len(table_rows)
-            table_agree = table_rows == mu_rows
+            rows = table_closure(p, side, cap)
+            table_order = len(rows)
+            # mu(x, y) sends a (entry n) to a^x and b (entry 1) to a^(-y*(k-1)),
+            # so each row names the one mu-map it can be
+            row_codes = rows[:, p.n].astype(np.int64) * m + (
+                -rows[:, 1].astype(np.int64) * pow(p.k - 1, -1, m) % m
+            )
+            is_mu = (_mu_tables(p, row_codes) == rows).all(axis=1)
+            table_agree = bool(is_mu.all()) and np.array_equal(np.sort(row_codes), engine_codes)
             if not table_agree and witness is None:
-                # mu(x, y) sends a (entry n) to a^x and b (entry 1) to a^(-y*(k-1))
-                row = np.frombuffer(min(mu_rows - table_rows or table_rows - mu_rows), np.uint16)
-                witness = MuMap(int(row[p.n]), -int(row[1]) * pow(p.k - 1, -1, m) % m)
+                extra = np.setdiff1d(engine_codes, row_codes[is_mu])
+                if not extra.size:
+                    extra = np.union1d(row_codes[~is_mu], np.setdiff1d(row_codes, engine_codes))
+                witness = MuMap(*divmod(int(extra[0]), m))
 
     return DifferentialReport(
         m=p.m,

@@ -85,6 +85,14 @@ class TestPairClosure:
             via_codes = oracle.pair_closure_codes(g63, oracle.mu_generator_codes(g63, base))
             assert sorted(m.x * 63 + m.y for m in via_objects) == via_codes.tolist()
 
+    @pytest.mark.parametrize("mk,elements", [((5, 3), [0, 4]), ((21, 2), [0, 2, 9]), ((9, 2), [0, 3, 4])])
+    def test_codes_path_matches_object_path_custom_bases(self, mk, elements):
+        p = group.validate(*mk)
+        base = make_base(p.m, elements)
+        via_objects = pair_closure(p, mu_generators(p, base))
+        via_codes = oracle.pair_closure_codes(p, oracle.mu_generator_codes(p, base))
+        assert sorted(f.x * p.m + f.y for f in via_objects) == via_codes.tolist()
+
     def test_rho_generators_are_gamma_of_right_base(self, g63):
         # {rho(g)} and {mu(s, z) : s in R} generate from the same set
         assert set(rho_generators(g63)) == set(
@@ -159,14 +167,75 @@ class TestTableClosure:
             assert row.tolist() == [mumap.apply(g7, mu, g).i for g in g7.elements()]
 
 
+KERNEL_GROUPS = [(7, 3), (9, 2), (21, 2), (25, 7), (63, 2)]  # G(7,6,3) ... G(63,6,2)
+
+
+def fingerprints_of_rows(p, rows):
+    """The fingerprint definition: both weight dot products of every table,
+    folded to one word, deduplicated."""
+    w = oracle._fp_weights(p.m * p.n, oracle._FP_SEED)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, p.m * p.n)
+    return np.unique(oracle._combine64(rows @ w[0], rows @ w[1]))
+
+
 class TestFingerprints:
-    def test_matches_exact_closure(self, g63):
-        w = oracle._fp_weights(63 * 6, oracle._FP_SEED)
-        for side in ("right", "left"):
-            fp = oracle.table_fingerprints(g63, side)
-            rows = oracle.table_closure(g63, side).astype(np.int64)
-            exact = np.unique(oracle._combine64(rows @ w[0], rows @ w[1]))
-            assert np.array_equal(fp, exact)
+    def test_matches_exact_closure(self):
+        for mk in KERNEL_GROUPS:
+            p = group.validate(*mk)
+            for side in sigma.SIDES:
+                fp = oracle.table_fingerprints(p, side)
+                want = fingerprints_of_rows(p, oracle.table_closure(p, side))
+                assert np.array_equal(fp, want), (mk, side)
+
+    @pytest.mark.parametrize("mk", KERNEL_GROUPS)
+    @pytest.mark.parametrize("side", sigma.SIDES)
+    def test_mu_fingerprints_match_definition(self, mk, side):
+        p = group.validate(*mk)
+        codes = np.asarray(sigma.element_codes(sigma.analyze(p, survey.base_for(p, side))))
+        one_x = codes[codes // p.m == codes[-1] // p.m]
+        for subset in (codes, codes[:0], one_x, one_x[:1], codes[::5]):
+            want = fingerprints_of_rows(p, oracle._mu_tables(p, subset))
+            got = oracle.mu_table_fingerprints(p, subset)
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("entries", [1, 1000])
+    def test_block_size_does_not_change_results(self, monkeypatch, entries):
+        # G(21,6,2) has 126 elements: a 1000-entry grid splits every kernel
+        # into several blocks with a ragged last one, and 1 makes every block
+        # a single row or x
+        p = group.validate(21, 2)
+        codes = np.asarray(sigma.element_codes(sigma.analyze(p, right_base(p))))
+
+        def run():
+            oracle._fingerprint_build.cache_clear()
+            return (
+                [oracle.table_fingerprints(p, side) for side in sigma.SIDES]
+                + [oracle.table_closure(p, side) for side in sigma.SIDES]
+                + [oracle._mu_tables(p, codes), oracle.mu_table_fingerprints(p, codes)]
+            )
+
+        want = run()
+        monkeypatch.setattr(oracle, "_GRID_ENTRIES", entries)
+        got = run()
+        oracle._fingerprint_build.cache_clear()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_sorted_unique_matches_np_unique(self):
+        rng = np.random.default_rng(7)
+        top = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1, 2**63], dtype=np.uint64)
+        arrays = [
+            np.array([], dtype=np.int64),
+            np.array([], dtype=np.uint64),
+            np.array([5], dtype=np.int64),
+            rng.integers(-50, 50, size=1000),
+            rng.integers(-(2**63), 2**63 - 1, size=1000, dtype=np.int64),
+            rng.integers(0, 2**64 - 1, size=1000, dtype=np.uint64),
+            np.concatenate([top, rng.integers(2**63, 2**64 - 1, size=500, dtype=np.uint64)] * 2),
+            rng.integers(0, 30, size=(20, 20)),
+        ]
+        for a in arrays:
+            got, want = oracle._sorted_unique(a), np.unique(a)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_translation_side_matches(self, g63):
         for side, base in (("right", right_base(g63)), ("left", left_base(g63))):
@@ -220,6 +289,26 @@ class TestDifferentialCheck:
         for base in (right_base(p), left_base(p)):
             rep = oracle.differential_check(p, base)
             assert rep.agree, rep
+
+    @pytest.mark.parametrize("mk", [(9, 2), (25, 7)])
+    def test_table_row_that_is_no_mu_map(self, monkeypatch, mk):
+        # a closure row whose images of a and b match an engine map but
+        # which differs elsewhere is caught, and named by those images
+        p = group.validate(*mk)
+        closure = oracle.table_closure
+
+        def corrupted(*a, **kw):
+            t = closure(*a, **kw).copy()
+            t[-1, -1] = (t[-1, -1] + 1) % p.m
+            return t
+
+        rows = closure(p, "right")
+        code = int(rows[-1, p.n]) * p.m + (-int(rows[-1, 1]) * pow(p.k - 1, -1, p.m)) % p.m
+        monkeypatch.setattr(oracle, "table_closure", corrupted)
+        rep = oracle.differential_check(p, right_base(p))
+        assert rep.pair_agree and rep.table_order == len(rows)
+        assert rep.table_agree is False and not rep.agree
+        assert rep.witness == MuMap(*divmod(code, p.m))
 
     @pytest.mark.parametrize("mk", [(63, 2), (9, 2), (25, 7)])
     @pytest.mark.parametrize("side", sigma.SIDES)
