@@ -7,7 +7,8 @@ as "(x,y)" and containers as "C(x; d)" with the canonical divisor.
 
 Exit codes: 0 success/agreement, 1 usage error, 2 invalid presentation,
 3 invalid base, 4 oracle mismatch or verification violation, 5 table
-oracle skipped by the size cap.
+oracle skipped by the size cap, 6 pair oracle refused: m*m or m*m*|S| is
+over its budget.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EX_INVALID_PRESENTATION = 2
 EX_INVALID_BASE = 3
 EX_MISMATCH = 4
 EX_CAP_EXCEEDED = 5
+EX_PAIR_BUDGET = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -396,6 +398,9 @@ def main(argv=None) -> int:
     except sigma.InvalidBase as exc:
         print(f"invalid base: {exc}", file=sys.stderr)
         return EX_INVALID_BASE
+    except oracle.PairBudgetExceeded as exc:
+        print(f"pair oracle refused: {exc}", file=sys.stderr)
+        return EX_PAIR_BUDGET
 
 
 def entry() -> None:

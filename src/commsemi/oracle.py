@@ -52,10 +52,22 @@ _FP_BITS = 26
 # Entries per int grid block (grid builds, histograms, mu-map tables): caps
 # the temporaries at a few tens of MB whatever the group order.
 _GRID_ENTRIES = 4_000_000
+# Pair-oracle budgets: entries of the m*m membership masks, and the product
+# bound m*m*|S| (every closure code times every partner x).  On a 2-core
+# machine a full closure of m*m = 4.1M codes, G(2029,2,2028), took 2.9 s at
+# 218 MB peak, G(4095,12,212) right (m*m = 16.8M, 2.0e8 products) 1.1 s at
+# 110 MB, and G(509,508,3) right (1.3e8 products) 1.7 s, about 13 ns per
+# product.
+PAIR_MASK_LIMIT = 1 << 24
+PAIR_PRODUCT_LIMIT = 1 << 28
 
 
 class CapExceeded(ValueError):
     """The group is too large for the function-table representation."""
+
+
+class PairBudgetExceeded(ValueError):
+    """The pair oracle's mask or product bound is over its budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +80,21 @@ def mu_generator_codes(p: Presentation, s: BaseSet) -> np.ndarray:
     return np.concatenate([b * m + np.arange(m, dtype=np.int64) for b in sorted(s.elements)])
 
 
+def _check_pair_budget(m: int, partners: int) -> None:
+    """Refuse a pair closure whose m*m masks or whose product bound
+    m*m*partners (partners: the distinct x of the generators, |S| for a
+    base S) is over budget, before anything is allocated."""
+    if m * m > PAIR_MASK_LIMIT:
+        raise PairBudgetExceeded(
+            f"m*m = {m * m} membership entries exceed the pair-oracle limit {PAIR_MASK_LIMIT}"
+        )
+    if m * m * partners > PAIR_PRODUCT_LIMIT:
+        raise PairBudgetExceeded(
+            f"m*m*|S| = {m * m * partners} products exceed the pair-oracle limit "
+            f"{PAIR_PRODUCT_LIMIT}"
+        )
+
+
 def pair_closure_codes(p: Presentation, gen_codes: np.ndarray) -> np.ndarray:
     """Vectorized pair closure over codes x*m + y; returns the sorted result.
 
@@ -76,15 +103,15 @@ def pair_closure_codes(p: Presentation, gen_codes: np.ndarray) -> np.ndarray:
     composition law never reads the partner's y.  Each round marks its
     products in a boolean `fresh` mask beside the m*m `seen` table, so a
     round dedupes by scattering, with no sort and no concatenated batch.
+    Raises PairBudgetExceeded first when _check_pair_budget refuses.
     """
     m = p.m
-    if m * m > (1 << 31):
-        raise ValueError(f"pair oracle needs an m*m membership table; m={m} is too large")
+    frontier = _sorted_unique(np.asarray(gen_codes, dtype=np.int64))
+    partner_xs = _sorted_unique(frontier // m)
+    _check_pair_budget(m, partner_xs.size)
     seen = np.zeros(m * m, dtype=bool)
     fresh = np.zeros_like(seen)
-    frontier = _sorted_unique(np.asarray(gen_codes, dtype=np.int64))
     seen[frontier] = True
-    partner_xs = _sorted_unique(frontier // m)
     while frontier.size:
         x, y = np.divmod(frontier, m)
         for s in partner_xs:
@@ -116,17 +143,14 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _vec_group(p: Presentation):
-    """Element-indexed component arrays for vectorized normal-form products."""
+def _element_arrays(p: Presentation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-element int64 arrays of G, indexed like the tables (a^i b^j at
+    i*n + j): i, j and a(e) = i*k^j mod m, the a-exponent mu-maps scale
+    (mu(x, y) sends a^i b^j to a^(x*a(e) - y*k_j)) and, negated, that of
+    the inverse (a^i b^j)^-1 = a^(-i*k^j) b^-j."""
     m, n = p.m, p.n
-    mn = m * n
-    i_of = (np.arange(mn, dtype=np.int64) // n).astype(np.int32)
-    j_of = (np.arange(mn, dtype=np.int64) % n).astype(np.int32)
-    kpow = np.asarray(p.k_pow, dtype=np.int64)
-    cpow = np.asarray(p.c_pow, dtype=np.int32)
-    inv_i = ((-i_of.astype(np.int64) * kpow[j_of]) % m).astype(np.int32)
-    inv_j = ((n - j_of) % n).astype(np.int32)
-    return i_of, inv_i, inv_j, cpow
+    i_of, j_of = np.divmod(np.arange(m * n, dtype=np.int64), n)
+    return i_of, j_of, i_of * np.asarray(p.k_pow, dtype=np.int64)[j_of] % m
 
 
 def _generator_tables(p: Presentation, side: str) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +178,11 @@ def _generator_tables(p: Presentation, side: str) -> tuple[np.ndarray, np.ndarra
     mn = m * n
     if 3 * m * m >= 1 << 31:
         raise CapExceeded(f"modulus {m} too large for int32 table construction")
-    xi, xii, xij, cpow = _vec_group(p)
+    i_of, j_of, a_of = _element_arrays(p)
+    xi = i_of.astype(np.int32)
+    xii = ((m - a_of) % m).astype(np.int32)
+    xij = ((n - j_of) % n).astype(np.int32)
+    cpow = np.asarray(p.c_pow, dtype=np.int32)
     cp1 = cpow[xij]
 
     tables = np.empty((mn, mn), dtype=np.uint16)
@@ -246,21 +274,12 @@ def table_closure(p: Presentation, side: str, cap: int = DEFAULT_TABLE_CAP) -> n
 # pair -> table translation (the mu definition applied at every element)
 
 
-@lru_cache(maxsize=32)
-def _translation_vectors(p: Presentation) -> tuple[np.ndarray, np.ndarray]:
-    m, n = p.m, p.n
-    i_of = np.arange(m * n, dtype=np.int64) // n
-    j_of = np.arange(m * n, dtype=np.int64) % n
-    kpow = np.asarray(p.k_pow, dtype=np.int64)
-    ksub = np.asarray(p.k_sub, dtype=np.int64)
-    return (i_of * kpow[j_of]) % m, ksub[j_of]
-
-
 def _mu_tables(p: Presentation, codes) -> np.ndarray:
     """Function tables of the mu-maps with codes x*m + y, one uint16 row per
     code: mu(x, y) sends a^i b^j to a^(x*i*k^j - y*k_j)."""
     m = p.m
-    a_vec, b_vec = _translation_vectors(p)
+    _, j_of, a_vec = _element_arrays(p)
+    b_vec = np.asarray(p.k_sub, dtype=np.int64)[j_of]
     codes = np.asarray(codes, dtype=np.int64)
     rows = np.empty((codes.size, a_vec.size), dtype=np.uint16)
     block = max(1, _GRID_ENTRIES // a_vec.size)
@@ -274,8 +293,8 @@ def _mu_tables(p: Presentation, codes) -> np.ndarray:
 # fingerprint variant (bulk sweeps)
 
 
-def _fp_weights(mn: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def _fp_weights(mn: int) -> np.ndarray:
+    rng = np.random.default_rng(_FP_SEED)
     return rng.integers(1, 1 << _FP_BITS, size=(2, mn), dtype=np.int64)
 
 
@@ -296,7 +315,7 @@ def _combine64(fp0: np.ndarray, fp1: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _fingerprint_build(p: Presentation, seed: int):
+def _fingerprint_build(p: Presentation):
     """Per-side hash data for the fingerprint oracle, built from one pass.
 
     For each generator table g the pass builds the weight histograms
@@ -313,7 +332,7 @@ def _fingerprint_build(p: Presentation, seed: int):
     m, n = p.m, p.n
     mn = m * n
     _check_fp_exact(m, mn)
-    w = _fp_weights(mn, seed)
+    w = _fp_weights(mn)
     wsum = w.sum(axis=1)  # (2,)
 
     tables, restr_r = _generator_tables(p, RIGHT)
@@ -343,9 +362,7 @@ def _fingerprint_build(p: Presentation, seed: int):
     }
 
 
-def table_fingerprints(
-    p: Presentation, side: str, cap: int = DEFAULT_TABLE_CAP, seed: int = _FP_SEED
-) -> np.ndarray:
+def table_fingerprints(p: Presentation, side: str) -> np.ndarray:
     """Fingerprint set of the table closure, without materializing it.
 
     The closure is exactly {generators} union {t restricted-composed with a
@@ -356,13 +373,14 @@ def table_fingerprints(
     table materializations.  Distinct tables collide with probability
     about 2^-52 per pair (two independent 26-bit-weight hashes, folded to
     one word); the result is a sorted uint64 vector, deduplicated by
-    `_sorted_unique`.
+    `_sorted_unique`.  Groups of order above DEFAULT_TABLE_CAP are refused
+    before any build.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    if p.m * p.n > cap:
-        raise CapExceeded(f"group order {p.m * p.n} exceeds table cap {cap}")
-    gen_fp, wg, rc = _fingerprint_build(p, seed)[side]
+    if p.m * p.n > DEFAULT_TABLE_CAP:
+        raise CapExceeded(f"group order {p.m * p.n} exceeds table cap {DEFAULT_TABLE_CAP}")
+    gen_fp, wg, rc = _fingerprint_build(p)[side]
     rc_f = rc.astype(np.float64)
     prod0 = rc_f @ wg[0].T  # (rc, g)
     prod1 = rc_f @ wg[1].T
@@ -371,9 +389,7 @@ def table_fingerprints(
     return _sorted_unique(_combine64(fp0, fp1))
 
 
-def mu_table_fingerprints(
-    p: Presentation, codes: np.ndarray, seed: int = _FP_SEED
-) -> np.ndarray:
+def mu_table_fingerprints(p: Presentation, codes: np.ndarray) -> np.ndarray:
     """Fingerprints of the tables of the given mu-maps (codes x*m + y).
 
     Same weights as table_fingerprints, so equal tables hash equally.  The
@@ -394,16 +410,15 @@ def mu_table_fingerprints(
     sorted uint64 fingerprint vector.
     """
     m, n = p.m, p.n
-    a_vec, _ = _translation_vectors(p)
+    _, j_of, a_vec = _element_arrays(p)
     mn = a_vec.size
     _check_fp_exact(m, mn)
-    w = _fp_weights(mn, seed)
+    w = _fp_weights(mn)
     codes = _sorted_unique(np.asarray(codes, dtype=np.int64))
     xs, ys = np.divmod(codes, m)
     x_vals = _sorted_unique(xs)
     x_of = np.searchsorted(x_vals, xs)  # index of each code's x
 
-    j_of = np.arange(mn, dtype=np.int64) % n
     ksub = np.asarray(p.k_sub[:n], dtype=np.int64)
     # weight mass of each b-coset (exact: every partial sum stays below 2^38)
     wj = np.stack([np.bincount(j_of, weights=w[s], minlength=n) for s in range(2)])
@@ -464,13 +479,14 @@ def differential_check(
 ) -> DifferentialReport:
     """Compare the container engine against both brute-force routes.
 
-    The pair oracle always runs.  The table oracle runs only when S is one
-    of the two commutation bases (its generators are group-theoretic) and
-    the group fits under the cap.
+    The pair oracle always runs; a group over its budget raises
+    PairBudgetExceeded before the engine or the oracle allocates anything.
+    The table oracle runs only when S is one of the two commutation bases
+    (its generators are group-theoretic) and the group fits under the cap.
     """
     m = p.m
-    analysis = sigma_mod.analyze(p, s)
-    engine_codes = np.asarray(sigma_mod.element_codes(analysis), dtype=np.int64)
+    _check_pair_budget(m, len(s.elements))
+    engine_codes = sigma_mod.element_codes(sigma_mod.analyze(p, s))
     pair_codes = pair_closure_codes(p, mu_generator_codes(p, s))
     pair_agree = engine_codes.size == pair_codes.size and bool(
         np.array_equal(engine_codes, pair_codes)

@@ -17,8 +17,11 @@ over overlapping containers exactly.
 The engine works on orbits.  The unit group U = I(S*) is generated by the
 units of S, S* is a union of U-orbits x*U, and the divisors of D(x) are
 the same for every x of one orbit (b*(r*u) = (b*r)*u and
-gcd(r*u, m) = gcd(r, m)).  So closure grows S* an orbit at a time, and
-analyze fills D once per orbit from its representative.  With gens the
+gcd(r*u, m) = gcd(r, m)), so every x of one orbit has the same y-set.
+Each orbit is built exactly once, by closure, which grows S* an orbit at a
+time and keeps the orbit sets; orbits() only labels them, analyze fills D
+once per orbit from its representative, and element_codes builds one
+y-set per orbit and writes it at every x of the orbit.  With gens the
 generators that enlarge U (at most log2 |U| of them), the cost is
 O(|U|*gens + orbits*(|U| + |S|) + |S*|*|D|) rather than O(|S|*|S*|): at
 prime m, where U is every unit and there are two orbits, it is about
@@ -32,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .container import Container
 from .group import Presentation
@@ -54,12 +59,16 @@ class BaseSet:
 
 @dataclass(frozen=True)
 class ClosedSet:
-    """S* with its unit / non-unit split; I(S*) is a group containing 1."""
+    """S* with its unit / non-unit split; I(S*) is a group containing 1.
+
+    orbit_sets partitions S* into its I(S*)-orbits, ascending by minimum.
+    """
 
     m: int
     elements: frozenset[int]
     units: frozenset[int]
     non_units: frozenset[int]
+    orbit_sets: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -146,46 +155,40 @@ def _base_units(s: BaseSet) -> list[int]:
 
 
 def closure(s: BaseSet) -> ClosedSet:
-    """Least multiplicatively closed superset of S, split into units/non-units.
+    """Least multiplicatively closed superset of S, split into units/non-units
+    and into its U-orbits.
 
     A product with a non-unit factor is a non-unit, so the units of S* form
     U = <units of S>, built by coset extension in O(|U| log |U|).  S* is a
     union of U-orbits, grown from the orbit of 1 by a worklist over orbit
     representatives times the non-unit elements of S only: a unit of S maps
     every orbit to itself, and S itself enters at the first step, as 1*b.
+    Each orbit is multiplied out once, here, and kept in the result.
     Cost O(|U| log |U| + orbits*(|U| + |S|)).
     """
     m = s.m
     units, _ = _unit_group(m, _base_units(s))
     non_unit_gens = sorted(e for e in s.elements if math.gcd(e, m) != 1)
-    elements = set(units)
+    unit_set = frozenset(units)
+    elements = set(unit_set)
+    grown = [unit_set]
     reps = [units[0]]
     for r in reps:  # the worklist: reps grows while it is walked
         for b in non_unit_gens:
             v = r * b % m
             if v not in elements:
-                elements.update(v * u % m for u in units)
+                orbit = frozenset(v * u % m for u in units)
+                elements |= orbit
+                grown.append(orbit)
                 reps.append(v)
-    closed, unit_set = frozenset(elements), frozenset(units)
-    return ClosedSet(m, closed, unit_set, closed - unit_set)
+    closed = frozenset(elements)
+    return ClosedSet(m, closed, unit_set, closed - unit_set, tuple(sorted(grown, key=min)))
 
 
 def orbits(s: BaseSet, c: ClosedSet) -> list[Orbit]:
-    """Partition S* into orbits under multiplication by I(S*), ascending by
-    representative; iterating ascending makes the first unseen element the
-    orbit minimum."""
-    m = c.m
-    units = sorted(c.units)
-    base_elems = s.elements
-    seen: set[int] = set()
-    out = []
-    for x in sorted(c.elements):
-        if x in seen:
-            continue
-        orb = frozenset(x * u % m for u in units)
-        seen |= orb
-        out.append(Orbit(x, orb, not orb.isdisjoint(base_elems)))
-    return out
+    """Label the orbits closure built, ascending by representative: each
+    orbit's representative is its minimum, and it is basic when it meets S."""
+    return [Orbit(min(o), o, not o.isdisjoint(s.elements)) for o in c.orbit_sets]
 
 
 def _minimal_divisors(divisors: set[int]) -> frozenset[int]:
@@ -194,14 +197,17 @@ def _minimal_divisors(divisors: set[int]) -> frozenset[int]:
     )
 
 
-def _family_codes(m: int, x: int, divisors: frozenset[int]) -> range | list[int]:
-    """The codes x*m + y of the x-family, ascending: y runs over the union
-    of the multiples of each divisor d (the container C(x; d))."""
-    base = x * m
+def _y_set(m: int, divisors: frozenset[int]) -> np.ndarray:
+    """The y-set of one orbit, ascending int64: the union of the multiples
+    of each divisor d in Z_m (the containers C(x; d)).  It is the same for
+    every x of the orbit, and the x-family's codes are x*m + y."""
     if len(divisors) == 1:
         (d,) = divisors
-        return range(base, base + m, d)
-    return sorted(set().union(*(range(base, base + m, d) for d in divisors)))
+        return np.arange(0, m, d, dtype=np.int64)
+    hit = np.zeros(m, dtype=bool)
+    for d in divisors:
+        hit[::d] = True
+    return np.flatnonzero(hit)
 
 
 def analyze(p: Presentation, s: BaseSet, *, verify: bool = False) -> SigmaAnalysis:
@@ -233,7 +239,7 @@ def analyze(p: Presentation, s: BaseSet, *, verify: bool = False) -> SigmaAnalys
     per_orbit = []
     for ds in divisors:
         gens_d = _minimal_divisors(ds)
-        per_orbit.append((gens_d, len(_family_codes(m, 0, gens_d)), 1 in gens_d, sorted(gens_d)))
+        per_orbit.append((gens_d, _y_set(m, gens_d).size, 1 in gens_d, sorted(gens_d)))
 
     families = []
     for x in sorted(closed.elements):
@@ -287,16 +293,28 @@ def _verify(a: SigmaAnalysis) -> None:
         assert a.total_order == m * len(c.elements)
 
 
-def element_codes(a: SigmaAnalysis) -> list[int]:
-    """The exact element set as sorted codes x*m + y (bulk-comparison form)."""
+def element_codes(a: SigmaAnalysis) -> np.ndarray:
+    """The exact element set as codes x*m + y: one strictly increasing int64
+    array of length total_order (the bulk-comparison form).
+
+    The y-set is built once per orbit and written at every x of the orbit,
+    each x's block x*m + Y at the offset its family takes in x order (the
+    cumulative family sizes), so the result comes out sorted.
+    """
     m = a.presentation.m
-    out = []
-    for f in a.families:
-        out.extend(_family_codes(m, f.x, f.generators_d))
+    families = a.families
+    index = {f.x: i for i, f in enumerate(families)}
+    ends = np.cumsum([f.y_set_size for f in families], dtype=np.int64)
+    out = np.empty(a.total_order, dtype=np.int64)
+    for o in a.orbits:
+        ys = _y_set(m, families[index[o.representative]].generators_d)
+        for x in o.elements:
+            end = ends[index[x]]
+            np.add(ys, x * m, out=out[end - ys.size : end])
     return out
 
 
 def enumerate_elements(a: SigmaAnalysis) -> list[MuMap]:
     """Every mu-map of the semigroup, deduplicated, sorted by (x, y)."""
     m = a.presentation.m
-    return [MuMap(*divmod(code, m)) for code in element_codes(a)]
+    return [MuMap(*divmod(code, m)) for code in element_codes(a).tolist()]

@@ -20,6 +20,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import group, sigma
 from .group import InvalidPresentation, Presentation
 from .sigma import LEFT, RIGHT, SIDES
@@ -161,7 +163,9 @@ def verify_prime_m(p_max: int) -> VerificationReport:
             chain = {
                 "closure sizes equal": len(ar.closure.elements) == len(al.closure.elements),
                 "closures equal": ar.closure.elements == al.closure.elements,
-                "map sets equal": sigma.element_codes(ar) == sigma.element_codes(al),
+                "map sets equal": bool(
+                    np.array_equal(sigma.element_codes(ar), sigma.element_codes(al))
+                ),
                 "orders equal": ar.total_order == al.total_order,
             }
             if len(set(chain.values())) > 1:

@@ -242,8 +242,7 @@ def _oracle_chunk(m: int) -> tuple[int, int, list[str]]:
     for p in survey.validated_presentations(m):
         for side in ("right", "left"):
             base = survey.base_for(p, side)
-            analysis = sigma.analyze(p, base)
-            codes = np.asarray(sigma.element_codes(analysis), dtype=np.int64)
+            codes = sigma.element_codes(sigma.analyze(p, base))
             pair = oracle.pair_closure_codes(p, oracle.mu_generator_codes(p, base))
             pair_checked += 1
             if not np.array_equal(codes, pair):

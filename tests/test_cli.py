@@ -138,6 +138,19 @@ class TestOracle:
         code, _, _ = run(capsys, "oracle", "--m", "9", "--k", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("mk", [("2003", "5"), ("46343", "46342")])
+    def test_pair_budget_exit_6(self, capsys, monkeypatch, mk):
+        # G(2003,2002,5): 8.0e9 products; G(46343,2,46342): 2.1e9 mask entries.
+        # Both are refused before the engine runs.
+        def reached(*args, **kwargs):
+            raise AssertionError("engine reached past the pair budget")
+
+        monkeypatch.setattr(sigma, "analyze", reached)
+        code, out, err = run(capsys, "oracle", "--m", mk[0], "--k", mk[1])
+        assert code == 6
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("pair oracle refused: ")
+
 
 class TestScan:
     def test_range(self, capsys):

@@ -173,7 +173,7 @@ KERNEL_GROUPS = [(7, 3), (9, 2), (21, 2), (25, 7), (63, 2)]  # G(7,6,3) ... G(63
 def fingerprints_of_rows(p, rows):
     """The fingerprint definition: both weight dot products of every table,
     folded to one word, deduplicated."""
-    w = oracle._fp_weights(p.m * p.n, oracle._FP_SEED)
+    w = oracle._fp_weights(p.m * p.n)
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, p.m * p.n)
     return np.unique(oracle._combine64(rows @ w[0], rows @ w[1]))
 
@@ -250,9 +250,14 @@ class TestFingerprints:
         b = oracle.table_fingerprints(g7, "right")
         assert np.array_equal(a, b)
 
-    def test_cap(self, g63):
+    def test_cap(self, monkeypatch):
+        # G(101,100,2) has order 10100 > DEFAULT_TABLE_CAP: refused before any build
+        def build(p):
+            raise AssertionError("fingerprint build reached")
+
+        monkeypatch.setattr(oracle, "_fingerprint_build", build)
         with pytest.raises(oracle.CapExceeded):
-            oracle.table_fingerprints(g63, "right", cap=10)
+            oracle.table_fingerprints(group.validate(101, 2), "right")
 
 
 class TestDifferentialCheck:
@@ -319,7 +324,7 @@ class TestDifferentialCheck:
         p = group.validate(*mk)
         base = survey.base_for(p, side)
         codes = sigma.element_codes(sigma.analyze(p, base))
-        extra = codes[-1]
+        extra = int(codes[-1])
         if holder == "engine":
             row = oracle._mu_tables(p, [extra])[0]
             closure = oracle.table_closure
@@ -330,7 +335,7 @@ class TestDifferentialCheck:
         else:
             element_codes, pair_codes = sigma.element_codes, oracle.pair_closure_codes
             monkeypatch.setattr(
-                sigma, "element_codes", lambda a: [c for c in element_codes(a) if c != extra]
+                sigma, "element_codes", lambda a: (c := element_codes(a))[c != extra]
             )
             monkeypatch.setattr(
                 oracle, "pair_closure_codes", lambda *a: (c := pair_codes(*a))[c != extra]
@@ -339,3 +344,27 @@ class TestDifferentialCheck:
         assert rep.pair_agree
         assert rep.table_agree is False and not rep.agree
         assert rep.witness == MuMap(*divmod(extra, p.m))
+
+
+class TestPairBudget:
+    @pytest.mark.parametrize("limit", ["PAIR_MASK_LIMIT", "PAIR_PRODUCT_LIMIT"])
+    def test_refused_at_one_below_the_bound(self, monkeypatch, g63, limit):
+        # G(63,6,2) right: m*m = 3969 mask entries and 3969*|R| = 23814 products
+        base = right_base(g63)
+        bound = {"PAIR_MASK_LIMIT": 63 * 63, "PAIR_PRODUCT_LIMIT": 63 * 63 * len(base.elements)}
+        monkeypatch.setattr(oracle, limit, bound[limit])
+        assert oracle.differential_check(g63, base).agree
+        gens = oracle.mu_generator_codes(g63, base)
+        assert oracle.pair_closure_codes(g63, gens).size == 1566
+
+        monkeypatch.setattr(oracle, limit, bound[limit] - 1)
+
+        def reached(*args, **kwargs):
+            raise AssertionError("engine reached past the pair budget")
+
+        monkeypatch.setattr(sigma, "analyze", reached)
+        monkeypatch.setattr(sigma, "element_codes", reached)
+        with pytest.raises(oracle.PairBudgetExceeded, match=str(bound[limit])):
+            oracle.differential_check(g63, base)
+        with pytest.raises(oracle.PairBudgetExceeded):
+            oracle.pair_closure_codes(g63, gens)

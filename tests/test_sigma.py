@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from commsemi import group, sigma, survey
@@ -195,13 +196,13 @@ def _divisors(m):
 
 
 def test_family_codes_match_definition():
-    # every m <= 60, every set of at most three divisors of m, two x each
+    # every m <= 60, every set of at most three divisors of m
     for m in range(1, 61):
         for r in range(4):
             for ds in itertools.combinations(_divisors(m), r):
-                for x in (0, m - 1):
-                    want = [x * m + w for w in range(m) if any(w % d == 0 for d in ds)]
-                    assert list(sigma._family_codes(m, x, frozenset(ds))) == want, (m, x, ds)
+                ys = sigma._y_set(m, frozenset(ds))
+                want = [w for w in range(m) if any(w % d == 0 for d in ds)]
+                assert ys.dtype == np.int64 and ys.tolist() == want, (m, ds)
 
 
 class TestAnalyze:
@@ -274,11 +275,32 @@ class TestEnumerate:
         codes = sigma.element_codes(a)
         assert [MuMap(*divmod(c, 63)) for c in codes] == sigma.enumerate_elements(a)
 
+    def test_elements_hold_python_ints(self, g63):
+        for base in (sigma.right_base(g63), sigma.left_base(g63)):
+            for mu in sigma.enumerate_elements(sigma.analyze(g63, base)):
+                assert type(mu.x) is int and type(mu.y) is int
+
+    def test_codes_are_one_sorted_int64_array(self):
+        # the element-set format every caller compares: strictly increasing
+        # int64 codes, one per element, on every valid (m, k) with m < 100
+        cases = 0
+        for m in range(3, 100):
+            for p in survey.validated_presentations(m):
+                for side in sigma.SIDES:
+                    a = sigma.analyze(p, survey.base_for(p, side))
+                    codes = sigma.element_codes(a)
+                    assert isinstance(codes, np.ndarray) and codes.dtype == np.int64
+                    assert codes.shape == (a.total_order,), (m, p.k, side)
+                    assert (np.diff(codes) > 0).all(), (m, p.k, side)
+                    cases += 1
+        assert cases == 3146
+
 
 # ---------------------------------------------------------------------------
 # the definition-level reference: the quadratic route the orbit engine
-# replaced, a frontier BFS over S* x S for the closure and one pass over
-# S x S* for the witness divisors of every x
+# replaced, a frontier BFS over S* x S for the closure, every orbit
+# multiplied out from its least element, and one pass over S x S* for the
+# witness divisors of every x
 
 
 def reference_closure(s):
@@ -295,18 +317,19 @@ def reference_closure(s):
                     fresh.append(v)
         frontier = fresh
     units = frozenset(u for u in cur if math.gcd(u, m) == 1)
-    return sigma.ClosedSet(m, frozenset(cur), units, frozenset(cur - units))
+    orbit_sets, seen = [], set()
+    for x in sorted(cur):
+        if x not in seen:
+            orb = frozenset(x * u % m for u in units)
+            seen |= orb
+            orbit_sets.append(orb)
+    return sigma.ClosedSet(m, frozenset(cur), units, frozenset(cur - units), tuple(orbit_sets))
 
 
 def reference_analyze(p, s):
     m = p.m
     closed = reference_closure(s)
-    orbs, seen = [], set()
-    for x in sorted(closed.elements):
-        if x not in seen:
-            orb = frozenset(x * u % m for u in closed.units)
-            seen |= orb
-            orbs.append(sigma.Orbit(x, orb, not orb.isdisjoint(s.elements)))
+    orbs = [sigma.Orbit(min(o), o, not o.isdisjoint(s.elements)) for o in closed.orbit_sets]
     divisors = {x: set() for x in closed.elements}
     for b in s.elements:
         for st in closed.elements:
@@ -314,7 +337,7 @@ def reference_analyze(p, s):
     families = []
     for x in sorted(closed.elements):
         gens_d = sigma._minimal_divisors(divisors[x])
-        size = len(sigma._family_codes(m, 0, gens_d))
+        size = sigma._y_set(m, gens_d).size
         maximal = tuple(Container(x, d) for d in sorted(gens_d))
         families.append(sigma.Family(x, gens_d, size, 1 in gens_d, maximal))
     return sigma.SigmaAnalysis(
@@ -419,7 +442,10 @@ class TestVerify:
         # partitions, but 21 = 3 * 7 leaves S* and verify must say so
         a = sigma.analyze(g63, sigma.right_base(g63))
         c = a.closure
-        closed = sigma.ClosedSet(63, c.elements - {21}, c.units, c.non_units - {21})
+        closed = sigma.ClosedSet(
+            63, c.elements - {21}, c.units, c.non_units - {21},
+            tuple(o for o in c.orbit_sets if 21 not in o),
+        )
         broken = dataclasses.replace(
             a,
             closure=closed,
@@ -434,7 +460,10 @@ class TestVerify:
         # out of the units and out of its orbit
         a = sigma.analyze(g63, sigma.right_base(g63))
         c = a.closure
-        closed = sigma.ClosedSet(63, c.elements - {4}, c.units - {4}, c.non_units)
+        closed = sigma.ClosedSet(
+            63, c.elements - {4}, c.units - {4}, c.non_units,
+            tuple(o - {4} for o in c.orbit_sets),
+        )
         orbits = tuple(
             sigma.Orbit(o.representative, o.elements - {4}, o.basic) for o in a.orbits
         )
