@@ -7,7 +7,8 @@ as "(x,y)" and containers as "C(x; d)" with the canonical divisor.
 
 Exit codes: 0 success/agreement, 1 usage error, 2 invalid presentation,
 3 invalid base, 4 oracle mismatch or verification violation, 5 table
-oracle skipped by the size cap, 6 pair oracle refused: m*m or m*m*|S| is
+oracle skipped: m*n over oracle.TABLE_CAP or the exact closure over
+oracle.TABLE_ENTRY_LIMIT entries, 6 pair oracle refused: m*m or m*m*|S| is
 over its budget.
 """
 
@@ -241,13 +242,13 @@ def _cmd_oracle(args) -> int:
         "k": args.k,
         "side": args.side,
         "base": args.base,
-        "oracle_cap": args.oracle_cap,
+        "oracle_cap": oracle.TABLE_CAP,
     }
     p = group.validate(args.m, args.k)
-    checks = []
-    for label, base in _sides_and_bases(p, args):
-        rep = oracle.differential_check(p, base, cap=args.oracle_cap)
-        checks.append(_check_payload(rep))
+    checks = [
+        _check_payload(oracle.differential_check(p, base))
+        for _, base in _sides_and_bases(p, args)
+    ]
     _emit(_report("oracle", params, {"checks": checks}), args.format)
     if any(not c["agree"] for c in checks):
         print("oracle mismatch", file=sys.stderr)
@@ -358,7 +359,6 @@ def build_parser() -> _Parser:
     p_or.add_argument("--k", type=int, required=True)
     p_or.add_argument("--side", choices=(*sigma.SIDES, "both"), default="both")
     p_or.add_argument("--base", help="comma-separated residues overriding --side")
-    p_or.add_argument("--oracle-cap", type=_positive_int, default=oracle.DEFAULT_TABLE_CAP)
     _add_format(p_or)
     p_or.set_defaults(func=_cmd_oracle)
 

@@ -16,20 +16,23 @@ time in int32 (inside a class the product is an outer product plus two
 broadcast adds); the left side x -> [h, x] = [x, h]^-1 is their pointwise
 negation.  One worklist closure (`_close`) serves the exact table closure,
 the closures of the generator restrictions to <a>, and the dedupe of those
-restrictions.  For bulk sweeps the module also offers a fingerprint
-variant of the table oracle: candidate tables are deduplicated by two
-independent random-linear hashes (exact in float64, since every partial
-sum is an integer below 2^53), a universal-hashing scheme whose collision
-bound is independent of the algebra under test; the per-group closure
-stays exact at byte level.  The hashes are read off weight histograms,
-one bincount pass per block, never a product over whole tables.  Every
-dedupe of codes or fingerprints is a sort plus a neighbour compare
-(`_sorted_unique`): numpy's hash-based `np.unique` is several times slower
-on these integer arrays.  Temporaries are blocked at `_GRID_ENTRIES`
-entries.  A differential check reads each closure row back as the mu-map
-it can be, compares those codes with the engine's and each row with the
-table of its code, and a mismatch names a witness mu-map whichever side
-holds the extra map.
+restrictions.  Both table routes refuse a group of order m*n above
+TABLE_CAP before any build (`_check_table_cap`), and `_close` refuses once
+it would hold more than TABLE_ENTRY_LIMIT entries, so the exact closure
+answers or raises CapExceeded whatever the group.  For bulk sweeps the
+module also offers a fingerprint variant of the table oracle: candidate
+tables are deduplicated by two independent random-linear hashes (exact in
+float64, since every partial sum is an integer below 2^53), a
+universal-hashing scheme whose collision bound is independent of the
+algebra under test; the per-group closure stays exact at byte level.  The
+hashes are read off weight histograms, one bincount pass per block, never
+a product over whole tables.  Every dedupe of codes or fingerprints is a
+sort plus a neighbour compare (`_sorted_unique`): numpy's hash-based
+`np.unique` is several times slower on these integer arrays.  Temporaries
+are blocked at `_GRID_ENTRIES` entries.  A differential check reads each
+closure row back as the mu-map it can be, compares those codes with the
+engine's and each row with the table of its code, and a mismatch names a
+witness mu-map whichever side holds the extra map.
 """
 
 from __future__ import annotations
@@ -44,7 +47,12 @@ from .group import Presentation
 from .mumap import MuMap
 from .sigma import LEFT, RIGHT, SIDES, BaseSet, left_base, right_base
 
-DEFAULT_TABLE_CAP = 4000
+# Table-oracle limits: the group order m*n above which neither table route
+# builds anything, and the entries (rows * row width) the exact closure may
+# hold, 64 MB of uint16 rows.  The largest closure at m <= 100,
+# G(89,44,84) right, holds 31.0M entries, 92% of the budget.
+TABLE_CAP = 4000
+TABLE_ENTRY_LIMIT = 1 << 25
 # Fixed seed for the fingerprint weights: identical runs produce identical
 # fingerprints, and the exactness bound below never depends on the seed.
 _FP_SEED = 0x5EC7
@@ -54,8 +62,8 @@ _FP_BITS = 26
 _GRID_ENTRIES = 4_000_000
 # Pair-oracle budgets: entries of the m*m membership masks, and the product
 # bound m*m*|S| (every closure code times every partner x).  On a 2-core
-# machine a full closure of m*m = 4.1M codes, G(2029,2,2028), took 2.9 s at
-# 218 MB peak, G(4095,12,212) right (m*m = 16.8M, 2.0e8 products) 1.1 s at
+# machine a full closure of m*m = 4.1M codes, G(2029,2,2028), took 2.8 s at
+# 70 MB peak, G(4095,12,212) right (m*m = 16.8M, 2.0e8 products) 1.1 s at
 # 110 MB, and G(509,508,3) right (1.3e8 products) 1.7 s, about 13 ns per
 # product.
 PAIR_MASK_LIMIT = 1 << 24
@@ -228,10 +236,14 @@ def _close(seeds: np.ndarray, partners: np.ndarray) -> np.ndarray:
 
     Rows are uint16 a-exponent tables and partners are maps restricted to
     <a>, so composing reads a partner at each entry of a row.  Rows are
-    keyed on their bytes and come back in discovery order, one per map.
-    With no partners this is a dedupe of the seeds.
+    keyed on their bytes, one per map, and the frontier is walked in blocks
+    of _GRID_ENTRIES entries.  Admitting a row past TABLE_ENTRY_LIMIT held
+    entries raises CapExceeded.  The rows come back in sorted byte order, so
+    the result does not depend on the block size.  With no partners this is
+    a dedupe of the seeds.
     """
     width = seeds.shape[1]
+    row_limit = TABLE_ENTRY_LIMIT // width
     seen: set[bytes] = set()
     rows: list[bytes] = []
 
@@ -239,16 +251,23 @@ def _close(seeds: np.ndarray, partners: np.ndarray) -> np.ndarray:
         for row in batch:
             key = row.tobytes()
             if key not in seen:
+                if len(rows) == row_limit:
+                    raise CapExceeded(
+                        f"table closure exceeds {TABLE_ENTRY_LIMIT} entries "
+                        f"({row_limit} rows of {width})"
+                    )
                 seen.add(key)
                 rows.append(key)
 
     admit(seeds)
+    block = max(1, _GRID_ENTRIES // width)
     done = 0
     while done < len(rows):
-        frontier = _stack(rows[done:], width).astype(np.intp)
-        done = len(rows)
+        frontier = _stack(rows[done : done + block], width).astype(np.intp)
+        done += len(frontier)
         for partner in partners:
             admit(partner[frontier])
+    rows.sort()
     return _stack(rows, width)
 
 
@@ -256,17 +275,23 @@ def _stack(rows: list[bytes], width: int) -> np.ndarray:
     return np.frombuffer(b"".join(rows), dtype=np.uint16).reshape(-1, width)
 
 
-def table_closure(p: Presentation, side: str, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
+def _check_table_cap(p: Presentation) -> None:
+    """Refuse a table route on a group of order above TABLE_CAP, before any build."""
+    if p.m * p.n > TABLE_CAP:
+        raise CapExceeded(f"group order {p.m * p.n} exceeds table cap {TABLE_CAP}")
+
+
+def table_closure(p: Presentation, side: str) -> np.ndarray:
     """All maps of the table semigroup generated by one side's commutation maps.
 
     Exact byte-level closure of the generator tables, composing with the
     generator restrictions (composition only reads a partner on <a>, where
     every table under closure takes its values).  Returns one uint16 row of
-    a-exponents per map; entry e is the image of a^(e//n) b^(e%n).
+    a-exponents per map, in sorted byte order; entry e is the image of
+    a^(e//n) b^(e%n).  Raises CapExceeded when `_check_table_cap` refuses
+    the group or the closure outgrows TABLE_ENTRY_LIMIT.
     """
-    mn = p.m * p.n
-    if mn > cap:
-        raise CapExceeded(f"group order {mn} exceeds table cap {cap}")
+    _check_table_cap(p)
     return _close(*_generator_tables(p, side))
 
 
@@ -373,13 +398,12 @@ def table_fingerprints(p: Presentation, side: str) -> np.ndarray:
     table materializations.  Distinct tables collide with probability
     about 2^-52 per pair (two independent 26-bit-weight hashes, folded to
     one word); the result is a sorted uint64 vector, deduplicated by
-    `_sorted_unique`.  Groups of order above DEFAULT_TABLE_CAP are refused
-    before any build.
+    `_sorted_unique`.  Groups of order above TABLE_CAP are refused before
+    any build (`_check_table_cap`).
     """
+    _check_table_cap(p)
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    if p.m * p.n > DEFAULT_TABLE_CAP:
-        raise CapExceeded(f"group order {p.m * p.n} exceeds table cap {DEFAULT_TABLE_CAP}")
     gen_fp, wg, rc = _fingerprint_build(p)[side]
     rc_f = rc.astype(np.float64)
     prod0 = rc_f @ wg[0].T  # (rc, g)
@@ -471,18 +495,14 @@ class DifferentialReport:
         return self.pair_agree and self.table_agree is not False
 
 
-def differential_check(
-    p: Presentation,
-    s: BaseSet,
-    *,
-    cap: int = DEFAULT_TABLE_CAP,
-) -> DifferentialReport:
+def differential_check(p: Presentation, s: BaseSet) -> DifferentialReport:
     """Compare the container engine against both brute-force routes.
 
     The pair oracle always runs; a group over its budget raises
     PairBudgetExceeded before the engine or the oracle allocates anything.
     The table oracle runs only when S is one of the two commutation bases
-    (its generators are group-theoretic) and the group fits under the cap.
+    (its generators are group-theoretic); when `table_closure` refuses with
+    CapExceeded, the table status is "cap_exceeded".
     """
     m = p.m
     _check_pair_budget(m, len(s.elements))
@@ -508,11 +528,12 @@ def differential_check(
     table_order: int | None = None
     table_agree: bool | None = None
     if side is not None:
-        if p.m * p.n > cap:
+        try:
+            rows = table_closure(p, side)
+        except CapExceeded:
             table_status = "cap_exceeded"
         else:
             table_status = "ok"
-            rows = table_closure(p, side, cap)
             table_order = len(rows)
             # mu(x, y) sends a (entry n) to a^x and b (entry 1) to a^(-y*(k-1)),
             # so each row names the one mu-map it can be

@@ -224,22 +224,21 @@ def verify_prime_n(m_max: int) -> VerificationReport:
     return VerificationReport("prime-n", cases, tuple(violations))
 
 
-def minimal_prime_index(p: Presentation, prime: int, verify: bool = False) -> int:
+def minimal_prime_index(p: Presentation, prime: int) -> int:
     """Least s in (1, n] with prime | k_s; k_n = 0 guarantees existence.
 
-    With verify=True the divisibility equivalence (prime | k_t iff s | t,
-    for every t in (1, n]) is checked and a violation raises ValueError.
+    The divisibility equivalence (prime | k_t iff s | t, for every t in
+    (1, n]) is checked, and a violation raises ValueError.
     """
     if prime < 2 or p.m % prime != 0:
         raise NotADivisor(f"{prime} does not divide {p.m}")
     s = next(t for t in range(2, p.n + 1) if p.k_sub[t] % prime == 0)
-    if verify:
-        for t in range(2, p.n + 1):
-            if (p.k_sub[t] % prime == 0) != (t % s == 0):
-                raise ValueError(
-                    f"divisibility equivalence fails in {p} at prime {prime}: "
-                    f"s={s}, t={t}, k_t={p.k_sub[t]}"
-                )
+    for t in range(2, p.n + 1):
+        if (p.k_sub[t] % prime == 0) != (t % s == 0):
+            raise ValueError(
+                f"divisibility equivalence fails in {p} at prime {prime}: "
+                f"s={s}, t={t}, k_t={p.k_sub[t]}"
+            )
     return s
 
 
@@ -254,7 +253,7 @@ def verify_minimal_prime_index(m_max: int) -> VerificationReport:
             for q in prime_divisors:
                 cases += 1
                 try:
-                    s = minimal_prime_index(pres, q, verify=True)
+                    s = minimal_prime_index(pres, q)
                 except ValueError as exc:
                     violations.append(str(exc))
                     continue

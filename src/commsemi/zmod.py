@@ -1,9 +1,10 @@
 """Exact arithmetic in the multiplicative semigroup Z_m.
 
-Residues are plain ints kept fully reduced into [0, m); anything arriving
-from outside (including negative values) goes through :func:`residue` at the
-boundary so equality is structural.  The modulus must fit in a signed 64-bit
-word; Python's big ints make overflow a non-issue beyond that check.
+Residues are plain ints kept fully reduced into [0, m), so equality is
+structural: `mod_inverse` and `mult_order` reduce their own arguments, and
+outside input is reduced where it enters (`sigma.make_base`) or refused
+(`group.validate`).  The modulus must fit in a signed 64-bit word; Python's
+big ints make overflow a non-issue beyond that check.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ def check_modulus(m: int) -> int:
     return m
 
 
-def residue(value: int, m: int) -> int:
-    """Reduce an arbitrary integer into the canonical range [0, m)."""
-    return value % m
-
-
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor with gcd(a, 0) = a; rejects gcd(0, 0)."""
     if a < 0 or b < 0:
@@ -35,11 +31,6 @@ def gcd(a: int, b: int) -> int:
     if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
     return math.gcd(a, b)
-
-
-def is_unit(r: int, m: int) -> bool:
-    """True iff r is invertible in Z_m, i.e. coprime to m."""
-    return math.gcd(r % m, m) == 1
 
 
 def mod_inverse(r: int, m: int) -> int:

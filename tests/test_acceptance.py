@@ -248,7 +248,7 @@ def _oracle_chunk(m: int) -> tuple[int, int, list[str]]:
             if not np.array_equal(codes, pair):
                 failures.append(f"G({m},{p.n},{p.k}) {side}: engine != pair closure")
                 continue
-            if p.m * p.n <= 4000:
+            if p.m * p.n <= oracle.TABLE_CAP:
                 table_checked += 1
                 tfp = oracle.table_fingerprints(p, side)
                 mfp = oracle.mu_table_fingerprints(p, codes)

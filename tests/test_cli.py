@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from commsemi import cli, sigma
+from commsemi import cli, oracle, sigma
 
 
 def run(capsys, *argv):
@@ -124,14 +124,27 @@ class TestOracle:
         assert c["engine_order"] == 15
         assert c["table_status"] == "not_applicable"
 
-    def test_cap_exceeded_exit_5(self, capsys):
-        code, rep, err = run_json(
-            capsys, "oracle", "--m", "63", "--k", "2", "--side", "right",
-            "--oracle-cap", "100",
-        )
+    def test_cap_exceeded_exit_5(self, capsys, monkeypatch):
+        # G(101,100,2) has order 10100 > oracle.TABLE_CAP: no grid is built
+        def build(*args):
+            raise AssertionError("generator tables reached")
+
+        monkeypatch.setattr(oracle, "_generator_tables", build)
+        code, rep, err = run_json(capsys, "oracle", "--m", "101", "--k", "2", "--side", "right")
         assert code == 5
+        assert rep["parameters"]["oracle_cap"] == oracle.TABLE_CAP
         (c,) = rep["payload"]["checks"]
         assert c["table_status"] == "cap_exceeded"
+        assert c["pair_agree"] is True
+
+    def test_entry_budget_exit_5(self, capsys):
+        # G(1031,2,1030) right: m*n = 2062 is under the cap, but the closure
+        # outgrows oracle.TABLE_ENTRY_LIMIT and is refused, not OOM-killed
+        code, rep, err = run_json(capsys, "oracle", "--m", "1031", "--k", "1030", "--side", "right")
+        assert code == 5
+        assert err == "table oracle skipped: cap exceeded\n"
+        (c,) = rep["payload"]["checks"]
+        assert c["table_status"] == "cap_exceeded" and c["table_order"] is None
         assert c["pair_agree"] is True
 
     def test_invalid_presentation_exit_2(self, capsys):
@@ -190,7 +203,6 @@ class TestScan:
     [
         ("scan", "--from", "3", "--to", "5", "--jobs", "0"),
         ("scan", "--from", "3", "--to", "5", "--jobs", "-2"),
-        ("oracle", "--m", "3", "--k", "2", "--oracle-cap", "-5"),
         ("verify", "prime-m", "--p-max", "-3"),
         ("verify", "prime-n", "--m-max", "-1"),
     ],
@@ -231,6 +243,7 @@ def test_out_of_range_is_invalid_presentation(capsys, argv):
 @example(command="validate", m=7, k=9, side="both")
 @example(command="analyze", m=7, k=-1, side="both")
 @example(command="oracle", m=1, k=0, side="both")
+@example(command="oracle", m=1031, k=1030, side="right")
 def test_every_m_k_answers_or_exits_documented(command, m, k, side):
     argv = [command, "--m", str(m), "--k", str(k)]
     if command != "validate":

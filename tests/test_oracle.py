@@ -125,9 +125,14 @@ class TestTableClosure:
         p = group.validate(*mk)
         assert len(oracle.table_closure(p, side)) == expected
 
-    def test_cap(self, g63):
-        with pytest.raises(oracle.CapExceeded):
-            oracle.table_closure(g63, "right", cap=100)
+    def test_cap(self, monkeypatch):
+        # G(101,100,2) has order 10100 > TABLE_CAP: refused before any build
+        def build(*args):
+            raise AssertionError("generator tables reached")
+
+        monkeypatch.setattr(oracle, "_generator_tables", build)
+        with pytest.raises(oracle.CapExceeded, match="table cap"):
+            oracle.table_closure(group.validate(101, 2), "right")
 
     @pytest.mark.parametrize("fixture", ["g3", "g5", "g7", "g63"])
     @pytest.mark.parametrize("side", ["right", "left"])
@@ -251,7 +256,7 @@ class TestFingerprints:
         assert np.array_equal(a, b)
 
     def test_cap(self, monkeypatch):
-        # G(101,100,2) has order 10100 > DEFAULT_TABLE_CAP: refused before any build
+        # G(101,100,2) has order 10100 > TABLE_CAP: refused before any build
         def build(p):
             raise AssertionError("fingerprint build reached")
 
@@ -282,10 +287,17 @@ class TestDifferentialCheck:
         assert rep.table_status == "not_applicable"
         assert rep.table_order is None
 
-    def test_cap_exceeded_still_runs_pair(self, g63):
-        rep = oracle.differential_check(g63, right_base(g63), cap=100)
+    def test_cap_exceeded_still_runs_pair(self, monkeypatch):
+        # G(101,100,2) has order 10100 > TABLE_CAP; the pair route still runs
+        def build(*args):
+            raise AssertionError("generator tables reached")
+
+        monkeypatch.setattr(oracle, "_generator_tables", build)
+        p = group.validate(101, 2)
+        rep = oracle.differential_check(p, right_base(p))
         assert rep.table_status == "cap_exceeded"
-        assert rep.pair_agree
+        assert rep.table_order is None and rep.table_agree is None
+        assert rep.pair_agree and rep.engine_order == rep.pair_order
         assert rep.agree  # pair route agreed; table was skipped, not failed
 
     @pytest.mark.parametrize("mk", [(9, 2), (11, 7), (15, 2), (21, 2), (25, 7)])
@@ -368,3 +380,37 @@ class TestPairBudget:
             oracle.differential_check(g63, base)
         with pytest.raises(oracle.PairBudgetExceeded):
             oracle.pair_closure_codes(g63, gens)
+
+
+class TestTableBudget:
+    def test_refused_at_one_below_the_bound(self, monkeypatch, g63):
+        # G(63,6,2) right: the closure holds 1566 rows of 63*6 = 378 entries
+        bound = 1566 * 378
+        monkeypatch.setattr(oracle, "TABLE_ENTRY_LIMIT", bound)
+        assert len(oracle.table_closure(g63, "right")) == 1566
+        rep = oracle.differential_check(g63, right_base(g63))
+        assert rep.table_status == "ok" and rep.table_order == 1566 and rep.agree
+
+        monkeypatch.setattr(oracle, "TABLE_ENTRY_LIMIT", bound - 1)
+        with pytest.raises(oracle.CapExceeded, match=str(bound - 1)):
+            oracle.table_closure(g63, "right")
+        rep = oracle.differential_check(g63, right_base(g63))
+        assert rep.table_status == "cap_exceeded"
+        assert rep.table_order is None and rep.table_agree is None
+        assert rep.pair_agree and rep.engine_order == rep.pair_order == 1566
+        assert rep.agree
+
+    def test_frontier_walked_in_blocks(self, monkeypatch, g63):
+        # a 1000-entry grid holds two 378-entry rows: every frontier block
+        # stacks at most two rows, and only the result stacks them all
+        monkeypatch.setattr(oracle, "_GRID_ENTRIES", 1000)
+        stack, sizes = oracle._stack, []
+
+        def spy(rows, width):
+            sizes.append(len(rows))
+            return stack(rows, width)
+
+        seeds, partners = oracle._generator_tables(g63, "right")
+        monkeypatch.setattr(oracle, "_stack", spy)
+        assert len(oracle._close(seeds, partners)) == 1566
+        assert max(sizes[:-1]) == 2 and sizes[-1] == 1566

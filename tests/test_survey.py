@@ -107,8 +107,8 @@ class TestTheoremSuites:
 
 class TestMinimalPrimeIndex:
     def test_g63_indices(self, g63):
-        assert survey.minimal_prime_index(g63, 3, verify=True) == 2
-        assert survey.minimal_prime_index(g63, 7, verify=True) == 3
+        assert survey.minimal_prime_index(g63, 3) == 2
+        assert survey.minimal_prime_index(g63, 7) == 3
 
     def test_not_a_divisor(self, g63):
         with pytest.raises(survey.NotADivisor):
@@ -118,7 +118,7 @@ class TestMinimalPrimeIndex:
         for m, k in [(63, 2), (63, 5), (117, 23), (315, 272)]:
             p = group.validate(m, k)
             for q in (d for d in range(2, m + 1) if m % d == 0 and survey.is_prime(d)):
-                s = survey.minimal_prime_index(p, q, verify=True)
+                s = survey.minimal_prime_index(p, q)
                 assert p.n % s == 0
 
     def test_range_report(self):

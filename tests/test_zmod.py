@@ -49,18 +49,6 @@ class TestGcd:
         assert zmod.gcd(a, b) == gcd_by_subtraction(a, b)
 
 
-class TestIsUnit:
-    def test_unit(self):
-        assert zmod.is_unit(5, 63)
-
-    def test_shared_factor(self):
-        assert not zmod.is_unit(21, 63)
-
-    @pytest.mark.parametrize("m", [2, 3, 10, 63, 97])
-    def test_zero_never_unit(self, m):
-        assert not zmod.is_unit(0, m)
-
-
 class TestModInverse:
     def test_known_value(self):
         assert zmod.mod_inverse(2, 63) == 32
@@ -115,11 +103,6 @@ class TestMultOrder:
         for k in range(2, m):
             if math.gcd(k, m) == 1:
                 assert unit_count % zmod.mult_order(k, m) == 0
-
-
-def test_residue_reduces_negatives():
-    assert zmod.residue(-1, 63) == 62
-    assert zmod.residue(63, 63) == 0
 
 
 def test_modulus_bounds():
