@@ -11,10 +11,11 @@ engine:
 
 Tables are uint16 rows of a-exponents, one row per map (every commutation
 map lands in <a>; the builder checks that instead of assuming it).  One
-grid build makes the right-side tables x -> [x, h], one b-class of h at a
-time in int32 (inside a class the product is an outer product plus two
-broadcast adds); the left side x -> [h, x] = [x, h]^-1 is their pointwise
-negation.  One worklist closure (`_close`) serves the exact table closure,
+derivation (`_class_terms`) splits each right-side commutator [x, h],
+one b-class of h at a time, into a term of h and the b-exponent of x plus
+a term of x; the tables x -> [x, h] are their broadcast sum, and the left
+side x -> [h, x] = [x, h]^-1 is its pointwise negation.  One worklist
+closure (`_close`) serves the exact table closure,
 the closures of the generator restrictions to <a>, and the dedupe of those
 restrictions.  Both table routes refuse a group of order m*n above
 TABLE_CAP before any build (`_check_table_cap`), and `_close` refuses once
@@ -25,8 +26,8 @@ tables are deduplicated by two independent random-linear hashes (exact in
 float64, since every partial sum is an integer below 2^53), a
 universal-hashing scheme whose collision bound is independent of the
 algebra under test; the per-group closure stays exact at byte level.  The
-hashes are read off weight histograms, one bincount pass per block, never
-a product over whole tables.  Every dedupe of codes or fingerprints is a
+hashes are read off weight histograms built from the same two terms,
+with no table.  Every dedupe of codes or fingerprints is a
 sort plus a neighbour compare (`_sorted_unique`): numpy's hash-based
 `np.unique` is several times slower on these integer arrays.  Temporaries
 are blocked at `_GRID_ENTRIES` entries.  A differential check reads each
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import sigma as sigma_mod
 from .group import Presentation
@@ -161,73 +163,76 @@ def _element_arrays(p: Presentation) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return i_of, j_of, i_of * np.asarray(p.k_pow, dtype=np.int64)[j_of] % m
 
 
+def _class_terms(p: Presentation) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of the right-side commutators, split by the b-class of
+    h (class t holds the h whose inverse has b-exponent t, in order of the
+    a-exponent i(h)) and by the b-exponent j of x:
+
+        [x, h] = A[t, j, i(h)] + B[t, x]  (mod m),
+        A[t, j, i(h)] = ii(h) * c^((n - j) % n) + i(h) * c^t,
+        B[t, x] = i(x) * c^((j(x^-1) + t) % n) + ii(x),
+
+    with ii the a-exponent of the inverse and c = k^-1.  This is the
+    normal-form product ((x^-1 h^-1) x) h: within a class the b-exponent of
+    x^-1 h^-1 is fixed by x alone, and the b-exponents telescope to zero
+    (every commutator lands in <a>).  Both come back reduced mod m, as
+    int32; callers anchor them with `_spot_check_terms`.
+    """
+    m, n = p.m, p.n
+    i_of, j_of, a_of = _element_arrays(p)
+    ii = (m - a_of) % m
+    cpow = np.asarray(p.c_pow[:n], dtype=np.int64)
+    t = np.arange(n)[:, None]
+    h_ii = ii[np.arange(m) * n + (n - t) % n]  # (t, i(h)); a^i b^j sits at i*n + j
+    a = h_ii[:, None, :] * cpow[(n - np.arange(n)) % n, None] + np.arange(m) * cpow[t, None]
+    b = i_of * cpow[((n - j_of) % n + t) % n] + ii
+    return (a % m).astype(np.int32), (b % m).astype(np.int32)
+
+
+def _spot_check_terms(p: Presentation, a: np.ndarray, b: np.ndarray) -> None:
+    # anchor the class terms to the definitional scalar commutator
+    from .group import GroupElement, commutator_direct
+
+    n = p.n
+    rng = np.random.default_rng(0)
+    for h_e, x_e in rng.integers(p.m * n, size=(8, 2)).tolist():
+        h, x = GroupElement(*divmod(h_e, n)), GroupElement(*divmod(x_e, n))
+        t = (n - h.j) % n
+        want = commutator_direct(p, x, h)
+        if (want.i, want.j) != ((int(a[t, x.j, h.i]) + int(b[t, x_e])) % p.m, 0):
+            raise AssertionError(f"table build disagrees with scalar commutator at {h}, {x}")
+
+
 def _generator_tables(p: Presentation, side: str) -> tuple[np.ndarray, np.ndarray]:
     """Commutation-map tables for one side (one row per h in G, a-exponent
     entries) plus the distinct restrictions to <a>.
 
-    One grid build makes the right side x -> [x, h] = ((x^-1 h^-1) x) h by
-    three normal-form products; the left side x -> [h, x] = [x, h]^-1 is
-    its pointwise negation v -> (m - v) % m.  The b-exponents telescope to
-    zero (every commutator lands in <a>), so only a-exponents are tracked.
-    The grid is built one class of h at a time, the class holding the h
-    whose inverse has b-exponent t.  Within a class the b-exponent of
-    x^-1 h^-1 is fixed by x alone, so the rows are
-
-        [x, h] = ii(h) * c^(j(x^-1)) + (i(x) * c^((j(x^-1) + t) % n) + ii(x)) + i(h) * c^t
-
-    with ii the a-exponent of the inverse: one outer product and two
-    broadcast adds in int32, with no 2-D gather.  All sums stay under
-    3*m^2 (int32-safe, checked below).  The build is spot-checked here
-    against the scalar commutator, and exhaustively in the test suite.
+    The right side x -> [x, h] is built one class of h at a time from
+    `_class_terms`: the rows of class t are A[t, j(x), i(h)] + B[t, x]
+    mod m, one broadcast add in blocks of _GRID_ENTRIES.  The left side
+    x -> [h, x] = [x, h]^-1 is its pointwise negation v -> (m - v) % m.
+    The terms are spot-checked against the scalar commutator here, and the
+    tables exhaustively in the test suite.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     m, n = p.m, p.n
     mn = m * n
-    if 3 * m * m >= 1 << 31:
-        raise CapExceeded(f"modulus {m} too large for int32 table construction")
-    i_of, j_of, a_of = _element_arrays(p)
-    xi = i_of.astype(np.int32)
-    xii = ((m - a_of) % m).astype(np.int32)
-    xij = ((n - j_of) % n).astype(np.int32)
-    cpow = np.asarray(p.c_pow, dtype=np.int32)
-    cp1 = cpow[xij]
-
+    a, b = _class_terms(p)
+    _spot_check_terms(p, a, b)
     tables = np.empty((mn, mn), dtype=np.uint16)
     block = max(1, _GRID_ENTRIES // mn)
     for t in range(n):
-        # elements are a^i b^j at index i*n + j, and inverting sends j to (n - j) % n
-        hs = slice((n - t) % n, mn, n)
-        rows, hii, h_term = tables[hs], xii[hs], xi[hs] * cpow[t]
-        x_term = xi * cpow[(xij + t) % n] + xii
+        # inverting sends b-exponent j to (n - j) % n; x = a^i b^j sits at i*n + j
+        rows, a_t, b_t = tables[(n - t) % n :: n], a[t].T, b[t].reshape(m, n)
         for lo in range(0, m, block):
-            grid = np.outer(hii[lo : lo + block], cp1)
-            grid += x_term
-            grid += h_term[lo : lo + block, None]
+            grid = a_t[lo : lo + block, None, :] + b_t
             grid %= m
-            rows[lo : lo + block] = grid
+            rows[lo : lo + block] = grid.reshape(len(grid), mn)
     if side == LEFT:
         tables = (m - tables) % m
-
-    _spot_check_tables(p, side, tables)
     restrictions = np.ascontiguousarray(tables[:, ::n])
     return tables, _close(restrictions, restrictions[:0])
-
-
-def _spot_check_tables(p: Presentation, side: str, tables: np.ndarray) -> None:
-    # anchor the vectorized build to the definitional scalar commutator
-    from .group import GroupElement, commutator_direct
-
-    n = p.n
-    mn = p.m * n
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        h_e, x_e = int(rng.integers(mn)), int(rng.integers(mn))
-        h = GroupElement(h_e // n, h_e % n)
-        x = GroupElement(x_e // n, x_e % n)
-        want = commutator_direct(p, x, h) if side == RIGHT else commutator_direct(p, h, x)
-        if (want.i, want.j) != (int(tables[h_e, x_e]), 0):
-            raise AssertionError(f"table build disagrees with scalar commutator at {h}, {x}")
 
 
 def _close(seeds: np.ndarray, partners: np.ndarray) -> np.ndarray:
@@ -341,49 +346,57 @@ def _combine64(fp0: np.ndarray, fp1: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _fingerprint_build(p: Presentation):
-    """Per-side hash data for the fingerprint oracle, built from one pass.
+    """Per-side hash data for the fingerprint oracle, built without tables.
 
-    For each generator table g the pass builds the weight histograms
-    W_g[v] = sum of w_e over the entries e with g[e] = v, by one bincount
-    over (row, value) keys.  The generator hashes follow from them as
-    w . g = sum_v v * W_g[v] = W_g @ arange(m): a float64 product that is
-    exact, because every partial sum is an integer below 2^53
-    (`_check_fp_exact`).  The right-side tables are built raw; the left
-    side follows from the pointwise commutator inversion
-    [h, x] = [x, h]^-1, which on a-exponents is v -> (m - v) % m.  That
-    negation turns each histogram row into an index flip and each
-    generator hash into m*sum(w) - h - m*W[h, 0], all exact in int64.
+    For a generator g: x -> [x, h] of class t, with the class terms
+    [x, h] = A[t, j(x), i(h)] + B[t, x] (`_class_terms`), the weight
+    histogram W_g[v] (the weights of the x with g(x) = v) is
+
+        W_g[v] = sum_j H_t[j, (v - A[t, j, i(h)]) mod m],
+
+    with H_t[j] the weight histogram of B[t] over the x of b-exponent j.
+    A class costs one bincount of mn keys per weight row and one gather of
+    n circulant rows per generator, summed over j; no mn x mn grid or tiled
+    weight row is formed, and the gather is blocked at _GRID_ENTRIES.  Every
+    sum is exact in float64 (integers below 2^53, `_check_fp_exact`).  The
+    generator hashes are w . g = W_g @ arange(m), and the restrictions to
+    <a> are A[t, 0, i(h)] + B[t, a^i].  The left side follows from
+    [h, x] = [x, h]^-1, v -> (m - v) % m on a-exponents: its generator
+    hashes are m*sum(w) - h - m*W[h, 0], exact in int64, and as the flip is
+    an involution, r . W_l = r[flip] . W_r, so it shares W and flips the
+    columns of its restriction closure instead of copying W.
     """
     m, n = p.m, p.n
     mn = m * n
     _check_fp_exact(m, mn)
     w = _fp_weights(mn)
-    wsum = w.sum(axis=1)  # (2,)
+    a, b = _class_terms(p)
+    _spot_check_terms(p, a, b)
+    _, j_of, _ = _element_arrays(p)
 
-    tables, restr_r = _generator_tables(p, RIGHT)
-    g_count = tables.shape[0]
-    wg_r = np.empty((2, g_count, m), dtype=np.float64)
-    block = max(1, min(g_count, _GRID_ENTRIES // mn))
-    w_rows = np.tile(w.astype(np.float64), block)  # (2, block*mn), one weight row per table
-    row_base = np.arange(block, dtype=np.int64)[:, None] * m
-    key = np.empty((block, mn), dtype=np.int64)  # (row, value) keys, reused by every block
-    for lo in range(0, g_count, block):
-        nb = min(block, g_count - lo)
-        np.add(row_base[:nb], tables[lo : lo + nb], out=key[:nb])
-        for s in range(2):
-            wg_r[s, lo : lo + nb] = np.bincount(
-                key[:nb].ravel(), weights=w_rows[s, : nb * mn], minlength=nb * m
-            ).reshape(nb, m)
-    gen_fp_r = (wg_r @ np.arange(m, dtype=np.float64)).T.astype(np.int64)
-
-    flip = (m - np.arange(m)) % m
-    wg_l = np.ascontiguousarray(wg_r[:, :, flip])
-    gen_fp_l = (m * wsum)[None, :] - gen_fp_r - m * wg_r[:, :, 0].T.astype(np.int64)
+    # circulants of the H_t[j]: circ[s][t, j, q, v] = H_t[j, (q + v) % m], row m - A reads v - A
+    keys = j_of * m + b
+    hist = [np.stack([np.bincount(k, w_s, mn) for k in keys]).reshape(n, n, m) for w_s in w]
+    circ = [sliding_window_view(np.tile(h, 2), m, axis=2) for h in hist]
+    wg = np.empty((2, mn, m), dtype=np.float64)
+    restr = np.empty((mn, m), dtype=np.uint16)
+    block = max(1, _GRID_ENTRIES // mn)
+    j_col = np.arange(n)[:, None]
+    for t in range(n):
+        w_t, r_t = wg[:, (n - t) % n :: n], restr[(n - t) % n :: n]
+        for lo in range(0, m, block):
+            q = m - a[t, :, lo : lo + block]
+            for s in range(2):
+                w_t[s, lo : lo + block] = circ[s][t][j_col, q].sum(axis=0)
+            r_t[lo : lo + block] = (a[t, 0, lo : lo + block, None] + b[t, ::n]) % m
+    gen_fp_r = (wg @ np.arange(m, dtype=np.float64)).T.astype(np.int64)
+    gen_fp_l = (m * w.sum(axis=1))[None, :] - gen_fp_r - m * wg[:, :, 0].T.astype(np.int64)
+    restr_r = _close(restr, restr[:0])
     restr_l = (m - restr_r) % m
-
+    flip = (m - np.arange(m)) % m
     return {
-        RIGHT: (gen_fp_r, wg_r, _close(restr_r, restr_r)),
-        LEFT: (gen_fp_l, wg_l, _close(restr_l, restr_l)),
+        RIGHT: (gen_fp_r, wg, _close(restr_r, restr_r)),
+        LEFT: (gen_fp_l, wg, _close(restr_l, restr_l)[:, flip]),
     }
 
 
@@ -394,12 +407,13 @@ def table_fingerprints(p: Presentation, side: str) -> np.ndarray:
     generator}, where the restrictions of closure elements form their own
     small closure on <a>.  Every candidate's two hashes are evaluated with
     dot products (h(r o g) = r . W_g with W_g[v] = sum of weights over the
-    g-preimage of v), so the whole set costs matrix multiplies instead of
-    table materializations.  Distinct tables collide with probability
-    about 2^-52 per pair (two independent 26-bit-weight hashes, folded to
-    one word); the result is a sorted uint64 vector, deduplicated by
-    `_sorted_unique`.  Groups of order above TABLE_CAP are refused before
-    any build (`_check_table_cap`).
+    g-preimage of v; the left side reads r[flip] . W_g off the right-side
+    histograms, see `_fingerprint_build`), so the whole set costs matrix
+    multiplies instead of table materializations.  Distinct tables collide
+    with probability about 2^-52 per pair (two independent 26-bit-weight
+    hashes, folded to one word); the result is a sorted uint64 vector,
+    deduplicated by `_sorted_unique`.  Groups of order above TABLE_CAP are
+    refused before any build (`_check_table_cap`).
     """
     _check_table_cap(p)
     if side not in SIDES:

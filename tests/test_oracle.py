@@ -185,12 +185,54 @@ def fingerprints_of_rows(p, rows):
 
 class TestFingerprints:
     def test_matches_exact_closure(self):
-        for mk in KERNEL_GROUPS:
+        # G(19,18,2) and G(37,36,2): the build's gather sums n = 18 and 36 terms per class
+        for mk in KERNEL_GROUPS + [(19, 2), (37, 2)]:
             p = group.validate(*mk)
             for side in sigma.SIDES:
                 fp = oracle.table_fingerprints(p, side)
                 want = fingerprints_of_rows(p, oracle.table_closure(p, side))
                 assert np.array_equal(fp, want), (mk, side)
+
+    @pytest.mark.parametrize("mk", [(7, 3), (19, 2), (37, 2), (63, 2), (91, 5)])
+    @pytest.mark.parametrize("side", sigma.SIDES)
+    def test_build_matches_definition(self, mk, side):
+        # the table-free build against the generator tables: the weight
+        # histograms, the generator hashes and the restriction closure.  The
+        # left side keeps the right histograms and flips its closure's
+        # columns, so both are compared through that flip.
+        p = group.validate(*mk)
+        m, n = p.m, p.n
+        rows = oracle._generator_tables(p, side)[0].astype(np.int64)
+        oracle._fingerprint_build.cache_clear()
+        gen_fp, wg, rc = oracle._fingerprint_build(p)[side]
+        oracle._fingerprint_build.cache_clear()
+        cols = np.arange(m) if side == "right" else (m - np.arange(m)) % m
+        w = oracle._fp_weights(m * n)
+        for s in range(2):
+            want = np.stack([np.bincount(row, weights=w[s], minlength=m) for row in rows])
+            assert np.array_equal(wg[s][:, cols], want), s
+            assert np.array_equal(gen_fp[:, s], rows @ w[s]), s
+        restrictions = np.ascontiguousarray(rows[:, ::n].astype(np.uint16))
+        assert np.array_equal(rc[:, cols], oracle._close(restrictions, restrictions))
+
+    def test_spot_check_catches_wrong_class_terms(self, monkeypatch, g63):
+        # both table routes build from _class_terms and check its output
+        # against the scalar commutator, so a shifted A term fails both
+        class_terms = oracle._class_terms
+
+        def shifted(p):
+            a, b = class_terms(p)
+            return a + 1, b
+
+        monkeypatch.setattr(oracle, "_class_terms", shifted)
+        oracle._fingerprint_build.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="scalar commutator"):
+                oracle.table_closure(g63, "right")
+            with pytest.raises(AssertionError, match="scalar commutator"):
+                oracle.table_fingerprints(g63, "left")
+        finally:
+            oracle._fingerprint_build.cache_clear()
 
     @pytest.mark.parametrize("mk", KERNEL_GROUPS)
     @pytest.mark.parametrize("side", sigma.SIDES)
