@@ -158,8 +158,7 @@ def _analysis_payload(a: sigma.SigmaAnalysis, side_label: str) -> dict:
             {
                 "x": f.x,
                 "maximal_containers": [
-                    {"x": c.x, "d": c.d, "order": m // c.d}
-                    for c in f.maximal_containers
+                    {"x": f.x, "d": d, "order": m // d} for d in sorted(f.generators_d)
                 ],
                 "y_set_size": f.y_set_size,
                 "complete": f.complete,

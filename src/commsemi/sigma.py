@@ -9,23 +9,19 @@ containers C(x, y) with y ranging over
 
 Everything here works with that decomposition: D(x) is the witness set
 {s* in S* : some s in S has s*s* = x}, kept only as its divisors
-gcd(s*, m), since s*Z_m = gcd(s*, m)Z_m.  Each family keeps the
-divisibility-minimal ones (maximal containers), and Y(x) is the union of
-their container ranges; the set union performs the inclusion-exclusion
-over overlapping containers exactly.
+gcd(s*, m), since s*Z_m = gcd(s*, m)Z_m.  The divisibility-minimal ones
+name the maximal containers, and Y(x) is the union of their container
+ranges; the set union performs the inclusion-exclusion over overlapping
+containers exactly.
 
-The engine works on orbits.  The unit group U = I(S*) is generated by the
-units of S, S* is a union of U-orbits x*U, and the divisors of D(x) are
-the same for every x of one orbit (b*(r*u) = (b*r)*u and
-gcd(r*u, m) = gcd(r, m)), so every x of one orbit has the same y-set.
-Each orbit is built exactly once, by closure, which grows S* an orbit at a
-time and keeps the orbit sets; orbits() only labels them, analyze fills D
-once per orbit from its representative, and element_codes builds one
-y-set per orbit and writes it at every x of the orbit.  With gens the
-generators that enlarge U (at most log2 |U| of them), the cost is
-O(|U|*gens + orbits*(|U| + |S|) + |S*|*|D|) rather than O(|S|*|S*|): at
-prime m, where U is every unit and there are two orbits, it is about
-linear in m.
+The orbit is the engine's only record.  The unit group U = I(S*) is
+generated by the units of S, S* is a union of U-orbits x*U, and every x of
+one orbit has the same divisors of D(x), hence the same y-set.  closure
+builds each orbit once, orbits() gives each its divisors and y-set size,
+and nothing is stored per x: the per-x families are a view derived on
+read.  With gens the generators that enlarge U (at most log2 |U|), analyze
+costs O(|U|*gens + orbits*(|U| + |S|) + |S* - U|) rather than
+O(|S|*|S*|): about linear in m at prime m, closure being most of it.
 
 The right and left commutation semigroups are the special cases
 S = R = {k^j - 1} and S = L = {-(k^j - 1)}.
@@ -38,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import Container
 from .group import Presentation
 from .mumap import MuMap
 
@@ -73,27 +68,30 @@ class ClosedSet:
 
 @dataclass(frozen=True)
 class Orbit:
-    """orb(x, S*) = {x*u : u in I(S*)}; basic when it meets S."""
+    """orb(x, S*) = {x*u : u in I(S*)}; basic when it meets S.
+
+    generators_d holds the divisibility-minimal divisors gcd(s*, m) over
+    s* in D(x), and y_set_size the size of the y-set they cover; both are
+    the same for every x of the orbit.
+    """
 
     representative: int
     elements: frozenset[int]
     basic: bool
+    generators_d: frozenset[int]
+    y_set_size: int
 
 
 @dataclass(frozen=True)
 class Family:
-    """The x-family of containers inside the semigroup.
-
-    generators_d holds the divisibility-minimal divisors gcd(s*, m) over
-    s* in D(x); the family is complete exactly when 1 is among them (the
-    maximal container C(x, 1) then swallows the rest).
-    """
+    """The x-family of containers, x's view of its orbit: the maximal
+    containers are C(x; d) for d in generators_d, and the family is
+    complete exactly when 1 is among them (C(x; 1) swallows the rest)."""
 
     x: int
     generators_d: frozenset[int]
     y_set_size: int
     complete: bool
-    maximal_containers: tuple[Container, ...]
 
 
 @dataclass(frozen=True)
@@ -102,9 +100,19 @@ class SigmaAnalysis:
     base: BaseSet
     closure: ClosedSet
     orbits: tuple[Orbit, ...]
-    families: tuple[Family, ...]
     total_order: int
     complete: bool
+
+    @property
+    def families(self) -> tuple[Family, ...]:
+        """One Family per x of S*, ascending by x, derived from the orbits
+        on every read in O(|S*| log |S*|)."""
+        fams = (
+            Family(x, o.generators_d, o.y_set_size, 1 in o.generators_d)
+            for o in self.orbits
+            for x in o.elements
+        )
+        return tuple(sorted(fams, key=lambda f: f.x))
 
 
 def make_base(m: int, elements) -> BaseSet:
@@ -186,9 +194,32 @@ def closure(s: BaseSet) -> ClosedSet:
 
 
 def orbits(s: BaseSet, c: ClosedSet) -> list[Orbit]:
-    """Label the orbits closure built, ascending by representative: each
-    orbit's representative is its minimum, and it is basic when it meets S."""
-    return [Orbit(min(o), o, not o.isdisjoint(s.elements)) for o in c.orbit_sets]
+    """The orbits closure built, ascending by representative (the minimum),
+    basic when they meet S, each with the minimal divisors of D(x).
+
+    D(x) is the same on each orbit, since b*(r*u) = (b*r)*u and
+    gcd(r*u, m) = gcd(r, m), so one pass over representatives r and b in S
+    adds gcd(r, m) to the orbit of b*r.  A unit b (S holds one) keeps b*r in
+    the orbit of r; a non-unit b sends it to a non-unit orbit, looked up in
+    an int32 label array.  Cost O(|S* - U| + orbits*(|S| + |U|)).
+    """
+    m = s.m
+    reps = [min(o) for o in c.orbit_sets]
+    gcds = [math.gcd(r, m) for r in reps]
+    label = np.empty(m, dtype=np.int32)
+    for i, o in enumerate(c.orbit_sets):
+        if gcds[i] != 1:
+            label[np.fromiter(o, np.int64, len(o))] = i
+    non_unit_gens = [b for b in s.elements if math.gcd(b, m) != 1]
+    divisors = [{d} for d in gcds]
+    for r, d in zip(reps, gcds):
+        for b in non_unit_gens:
+            divisors[label[b * r % m]].add(d)
+    out = []
+    for o, r, ds in zip(c.orbit_sets, reps, divisors):
+        gens_d = _minimal_divisors(ds)
+        out.append(Orbit(r, o, not o.isdisjoint(s.elements), gens_d, _y_set(m, gens_d).size))
+    return out
 
 
 def _minimal_divisors(divisors: set[int]) -> frozenset[int]:
@@ -211,53 +242,23 @@ def _y_set(m: int, divisors: frozenset[int]) -> np.ndarray:
 
 
 def analyze(p: Presentation, s: BaseSet, *, verify: bool = False) -> SigmaAnalysis:
-    """Full decomposition of the semigroup based on S.
-
-    The divisors of D(x) are the same on each U-orbit, since
-    b*(r*u) = (b*r)*u and gcd(r*u, m) = gcd(r, m).  So one pass over orbit
-    representatives r and b in S fills them all, adding gcd(r, m) to the
-    orbit of b*r.  The minimal divisors, the family size and completeness
-    are then worked out once per orbit and shared by its families.  Cost
-    O(orbits*|S| + |S*|*|D|) on top of closure and orbits.  With verify=True
-    the closure and the cross identities tying orbits to families are
-    asserted on the result.
-    """
+    """Full decomposition of the semigroup based on S: closure, orbits and
+    the order, the sum of |orbit| * y_set_size.  With verify=True the
+    closure and each orbit's divisors are checked on the result."""
     if s.m != p.m:
         raise InvalidBase(f"base modulus {s.m} does not match presentation modulus {p.m}")
-    m = p.m
     closed = closure(s)
     orbs = tuple(orbits(s, closed))
-    orbit_of = {x: i for i, o in enumerate(orbs) for x in o.elements}
-
-    divisors: list[set[int]] = [set() for _ in orbs]
-    for o in orbs:
-        r = o.representative
-        d = math.gcd(r, m)
-        for b in s.elements:
-            divisors[orbit_of[b * r % m]].add(d)
-
-    per_orbit = []
-    for ds in divisors:
-        gens_d = _minimal_divisors(ds)
-        per_orbit.append((gens_d, _y_set(m, gens_d).size, 1 in gens_d, sorted(gens_d)))
-
-    families = []
-    for x in sorted(closed.elements):
-        gens_d, size, family_complete, ds = per_orbit[orbit_of[x]]
-        maximal = tuple(Container(x, d) for d in ds)
-        families.append(Family(x, gens_d, size, family_complete, maximal))
-    total = sum(f.y_set_size for f in families)
-    complete = all(o.basic for o in orbs)
-
-    analysis = SigmaAnalysis(p, s, closed, orbs, tuple(families), total, complete)
+    total = sum(len(o.elements) * o.y_set_size for o in orbs)
+    analysis = SigmaAnalysis(p, s, closed, orbs, total, all(o.basic for o in orbs))
     if verify:
         _verify(analysis)
     return analysis
 
 
 def _verify(a: SigmaAnalysis) -> None:
-    """Internal consistency: S* must be closed, and the orbit/family
-    correspondences must agree.
+    """Internal consistency: S* must be closed, the orbits must partition
+    it, and each orbit's divisors must agree with its basicness.
 
     Closure is checked at orbit level: every orbit must be r*I(S*) for its
     representative r, I(S*) must be closed under the generators of
@@ -275,20 +276,13 @@ def _verify(a: SigmaAnalysis) -> None:
         r = orb.representative
         assert orb.elements == {r * u % m for u in c.units}, f"orbit of {r} must be r*I(S*)"
         assert all(r * b % m in c.elements for b in a.base.elements), f"{r}*S must lie in S*"
-
-    basic_of = {}
-    for orb in a.orbits:
-        for x in orb.elements:
-            basic_of[x] = orb.basic
-    assert set(basic_of) == set(c.elements), "orbits must partition S*"
-    assert sum(len(o.elements) for o in a.orbits) == len(c.elements)
-    for f in a.families:
+        assert orb.generators_d, f"orbit {r}: empty witness set"
         # an orbit is basic iff its families are complete
-        assert f.complete == basic_of[f.x], f"x={f.x}: completeness/basicness mismatch"
-        assert f.generators_d, f"x={f.x}: empty witness set"
-    for orb in a.orbits:
-        if orb.representative in c.units or not orb.elements.isdisjoint(a.base.elements):
+        assert (1 in orb.generators_d) == orb.basic, f"orbit {r}: completeness/basicness mismatch"
+        if r in c.units or not orb.elements.isdisjoint(a.base.elements):
             assert orb.basic  # unit orbits and base-meeting orbits are basic
+    assert set().union(*(o.elements for o in a.orbits)) == c.elements, "orbits must partition S*"
+    assert sum(len(o.elements) for o in a.orbits) == len(c.elements)
     if a.complete:
         assert a.total_order == m * len(c.elements)
 
@@ -297,19 +291,20 @@ def element_codes(a: SigmaAnalysis) -> np.ndarray:
     """The exact element set as codes x*m + y: one strictly increasing int64
     array of length total_order (the bulk-comparison form).
 
-    The y-set is built once per orbit and written at every x of the orbit,
-    each x's block x*m + Y at the offset its family takes in x order (the
-    cumulative family sizes), so the result comes out sorted.
+    The y-set is built once per orbit and written at every x of the orbit.
+    Each x's block x*m + Y ends at the cumulative sum of the family sizes
+    of the residues up to x (0 off S*), so the result comes out sorted.
     """
     m = a.presentation.m
-    families = a.families
-    index = {f.x: i for i, f in enumerate(families)}
-    ends = np.cumsum([f.y_set_size for f in families], dtype=np.int64)
+    sizes = np.zeros(m, dtype=np.int64)
+    for o in a.orbits:
+        sizes[np.fromiter(o.elements, np.int64, len(o.elements))] = o.y_set_size
+    ends = np.cumsum(sizes).tolist()
     out = np.empty(a.total_order, dtype=np.int64)
     for o in a.orbits:
-        ys = _y_set(m, families[index[o.representative]].generators_d)
+        ys = _y_set(m, o.generators_d)
         for x in o.elements:
-            end = ends[index[x]]
+            end = ends[x]
             np.add(ys, x * m, out=out[end - ys.size : end])
     return out
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -100,6 +101,41 @@ class TestAnalyze:
         assert code == 0
         assert "C(9; 3)" in out
         assert "NON-BASIC" in out
+
+    # SHA-256 of analyze stdout, (json, table).  G(63,6,2) carries non-basic
+    # orbits 9/21/42 and two-container families; G(7,6,3) is complete on
+    # both sides; the base {0,3,7,8} of Z_63 has nine non-basic orbits.
+    # Any change to these bytes is a schema change.
+    PINNED = {
+        ("63", "2", "--side", "right"): (
+            "ea3922c5c0fac431bdad3dd05962f4491c5b8a6cec73a2abcc1b17b9afdd258c",
+            "dfa28ad1a1d2b50e0ccbc7e89039f51f2d1ab9d5c9138d0310c0cb4132bb4e79",
+        ),
+        ("63", "2", "--side", "left"): (
+            "64d424a6984621f57c137a6bb4aa90a6a8798bd42461e7e78c34ae5e9da8f20a",
+            "d7f78ddf2812ed7a840e565e4002139a01ed02b979cc5122758c0647de82fc46",
+        ),
+        ("7", "3", "--side", "right"): (
+            "fdf6d88ab9b2f91dc051fd7a6be71ffd5f81c39c88fb8727c306dd4fe4ad561e",
+            "4b2ab770ba3f07ba067b1b0d8598be7b58ef2f7f59c28dae95d4b11d2bbd691e",
+        ),
+        ("7", "3", "--side", "left"): (
+            "8f76eba25b4418093620990b3fb8e3248775c9d40d29108ef1538ebe9b6fbc03",
+            "2feb703d5e22fc49335b29a9bbed4eda65077c76424021b5102fa2957e5b6cb3",
+        ),
+        ("63", "2", "--base", "0,8,3,7"): (
+            "436b06f42b5a28b087d40fd26d5259001f4e9f33f85f3654df7ba1431bed6204",
+            "ffa0f7ef84723059b1f93dbbeb6b60434241b7be971b36d3d40b260b53802318",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED), ids=lambda c: "_".join(c).replace("--", ""))
+    def test_stdout_bytes_pinned(self, capsys, case):
+        m, k, *rest = case
+        for fmt, want in zip(("json", "table"), self.PINNED[case]):
+            code, out, _ = run(capsys, "analyze", "--m", m, "--k", k, *rest, "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want, (case, fmt)
 
 
 class TestOracle:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from commsemi import group, sigma, survey
-from commsemi.container import Container
 from commsemi.mumap import MuMap
 
 # R* of G(63,6,2), fixed by hand from the k_t table and closure arithmetic
@@ -136,13 +135,13 @@ def families_of(p, base):
 class TestFamily:
     def test_nine_family(self, g63):
         f = families_of(g63, sigma.right_base(g63))[9]
-        assert f.maximal_containers == (Container(9, 3),)
+        assert sorted(f.generators_d) == [3]
         assert f.y_set_size == 21
         assert not f.complete
 
     def test_twentyone_family(self, g63):
         f = families_of(g63, sigma.right_base(g63))[21]
-        assert f.maximal_containers == (Container(21, 3), Container(21, 7))
+        assert sorted(f.generators_d) == [3, 7]
         assert f.y_set_size == 21 + 9 - 3
 
     def test_fortytwo_family(self, g63):
@@ -150,13 +149,13 @@ class TestFamily:
         # C(42; 3); size matches the x = 21 family.  (Cross-checked against
         # both brute-force oracles in the oracle suite.)
         f = families_of(g63, sigma.right_base(g63))[42]
-        assert f.maximal_containers == (Container(42, 3), Container(42, 7))
+        assert sorted(f.generators_d) == [3, 7]
         assert f.y_set_size == 27
 
     def test_basic_x_family_is_maximal_container(self, g63):
         f = families_of(g63, sigma.right_base(g63))[1]
         assert f.complete
-        assert f.maximal_containers == (Container(1, 1),)
+        assert sorted(f.generators_d) == [1]
         assert f.y_set_size == 63
 
     def test_x_outside_closure_rejected(self, g63):
@@ -327,23 +326,36 @@ def reference_closure(s):
 
 
 def reference_analyze(p, s):
+    """The analysis and its per-x families, every family from its own
+    witnesses; each orbit takes the divisors of its least element."""
     m = p.m
     closed = reference_closure(s)
-    orbs = [sigma.Orbit(min(o), o, not o.isdisjoint(s.elements)) for o in closed.orbit_sets]
     divisors = {x: set() for x in closed.elements}
     for b in s.elements:
         for st in closed.elements:
             divisors[b * st % m].add(math.gcd(st, m))
-    families = []
+    families = {}
     for x in sorted(closed.elements):
         gens_d = sigma._minimal_divisors(divisors[x])
         size = sigma._y_set(m, gens_d).size
-        maximal = tuple(Container(x, d) for d in sorted(gens_d))
-        families.append(sigma.Family(x, gens_d, size, 1 in gens_d, maximal))
-    return sigma.SigmaAnalysis(
-        p, s, closed, tuple(orbs), tuple(families),
-        sum(f.y_set_size for f in families), all(o.basic for o in orbs),
+        families[x] = sigma.Family(x, gens_d, size, 1 in gens_d)
+    orbs = []
+    for o in closed.orbit_sets:
+        f = families[min(o)]
+        basic = not o.isdisjoint(s.elements)
+        orbs.append(sigma.Orbit(min(o), o, basic, f.generators_d, f.y_set_size))
+    analysis = sigma.SigmaAnalysis(
+        p, s, closed, tuple(orbs),
+        sum(f.y_set_size for f in families.values()), all(o.basic for o in orbs),
     )
+    return analysis, tuple(families.values())
+
+
+def assert_matches_reference(p, base, label):
+    a = sigma.analyze(p, base, verify=True)
+    ref, families = reference_analyze(p, base)
+    assert a == ref, label
+    assert a.families == families, label
 
 
 def _random_bases(rng, m, count):
@@ -360,9 +372,7 @@ class TestOrbitEngine:
         for m in range(3, 100):
             for p in survey.validated_presentations(m):
                 for side in sigma.SIDES:
-                    base = survey.base_for(p, side)
-                    a = sigma.analyze(p, base, verify=True)
-                    assert a == reference_analyze(p, base), (m, p.k, side)
+                    assert_matches_reference(p, survey.base_for(p, side), (m, p.k, side))
                     cases += 1
         assert cases == 3146
 
@@ -372,9 +382,7 @@ class TestOrbitEngine:
         for m in range(3, 61):
             p = group.unchecked(m, m - 1)
             for base in _random_bases(rng, m, 8):
-                assert sigma.analyze(p, base, verify=True) == reference_analyze(p, base), (
-                    m, sorted(base.elements),
-                )
+                assert_matches_reference(p, base, (m, sorted(base.elements)))
                 cases += 1
         assert cases == 58 * 8
 
@@ -438,8 +446,8 @@ class TestOrbitEngine:
 
 class TestVerify:
     def test_verify_rejects_an_unclosed_closure(self, g63):
-        # drop the non-basic orbit of 21 (and its family): the rest still
-        # partitions, but 21 = 3 * 7 leaves S* and verify must say so
+        # drop the non-basic orbit of 21: the rest still partitions, but
+        # 21 = 3 * 7 leaves S* and verify must say so
         a = sigma.analyze(g63, sigma.right_base(g63))
         c = a.closure
         closed = sigma.ClosedSet(
@@ -450,7 +458,6 @@ class TestVerify:
             a,
             closure=closed,
             orbits=tuple(o for o in a.orbits if o.representative != 21),
-            families=tuple(f for f in a.families if f.x != 21),
         )
         with pytest.raises(AssertionError, match=r"\d\*S must lie in S\*"):
             sigma._verify(broken)
@@ -464,11 +471,24 @@ class TestVerify:
             63, c.elements - {4}, c.units - {4}, c.non_units,
             tuple(o - {4} for o in c.orbit_sets),
         )
-        orbits = tuple(
-            sigma.Orbit(o.representative, o.elements - {4}, o.basic) for o in a.orbits
-        )
-        broken = dataclasses.replace(
-            a, closure=closed, orbits=orbits, families=tuple(f for f in a.families if f.x != 4)
-        )
+        orbits = tuple(dataclasses.replace(o, elements=o.elements - {4}) for o in a.orbits)
+        broken = dataclasses.replace(a, closure=closed, orbits=orbits)
         with pytest.raises(AssertionError, match=r"I\(S\*\) must be closed"):
             sigma._verify(broken)
+
+    @pytest.mark.parametrize(
+        "divisors, message",
+        [({1}, "completeness/basicness mismatch"), (set(), "empty witness set")],
+    )
+    def test_verify_rejects_divisors_off_basicness(self, g63, divisors, message):
+        # the orbit of 9 in R* of G(63,6,2) is non-basic with divisors {3}:
+        # {1} would make its families complete, and no divisor at all would
+        # leave them without a witness
+        a = sigma.analyze(g63, sigma.right_base(g63))
+        orbits = tuple(
+            dataclasses.replace(o, generators_d=frozenset(divisors)) if o.representative == 9 else o
+            for o in a.orbits
+        )
+        assert not next(o for o in a.orbits if o.representative == 9).basic
+        with pytest.raises(AssertionError, match=message):
+            sigma._verify(dataclasses.replace(a, orbits=orbits))

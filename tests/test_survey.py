@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from commsemi import group, survey
+from commsemi import group, sigma, survey
 from test_oracle import mu_generators, pair_closure
 
 
@@ -92,6 +93,21 @@ class TestTheoremSuites:
         # |R*| = 7 vs |L*| = 4 and orders 49 vs 28, all four tests False
         report = survey.verify_prime_m(7)
         assert report.ok
+
+    def test_families_decide_map_set_equality(self):
+        # verify_prime_m compares the two map sets as their families; on
+        # every valid k of every prime <= 97 that agrees with comparing the
+        # element codes, and both outcomes occur (G(7,2,6): 49 vs 28 maps)
+        outcomes = set()
+        for q in survey.primes_up_to(97):
+            for p in survey.validated_presentations(q):
+                ar = sigma.analyze(p, sigma.right_base(p))
+                al = sigma.analyze(p, sigma.left_base(p))
+                same = ar.families == al.families
+                codes_equal = np.array_equal(sigma.element_codes(ar), sigma.element_codes(al))
+                assert same == codes_equal, (q, p.k)
+                outcomes.add(same)
+        assert outcomes == {True, False}
 
     def test_prime_square_m(self):
         report = survey.verify_prime_square_m(7)
