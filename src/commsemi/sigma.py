@@ -16,12 +16,12 @@ containers exactly.
 
 The orbit is the engine's only record.  The unit group U = I(S*) is
 generated by the units of S, S* is a union of U-orbits x*U, and every x of
-one orbit has the same divisors of D(x), hence the same y-set.  closure
-builds each orbit once, orbits() gives each its divisors and y-set size,
-and nothing is stored per x: the per-x families are a view derived on
-read.  With gens the generators that enlarge U (at most log2 |U|), analyze
+one orbit has the same divisors of D(x), hence the same y-set.  The engine
+walks S* once: closure grows each orbit and records its divisors from the
+same products r*b, orbits() keeps the minimal ones, and nothing is stored
+per x.  With gens the generators that enlarge U (at most log2 |U|), analyze
 costs O(|U|*gens + orbits*(|U| + |S|) + |S* - U|) rather than
-O(|S|*|S*|): about linear in m at prime m, closure being most of it.
+O(|S|*|S*|), each product r*b formed once: about linear in m at prime m.
 
 The right and left commutation semigroups are the special cases
 S = R = {k^j - 1} and S = L = {-(k^j - 1)}.
@@ -48,15 +48,21 @@ class InvalidBase(ValueError):
 
 @dataclass(frozen=True)
 class BaseSet:
+    """S with its unit / non-unit split, made once by make_base."""
+
     m: int
     elements: frozenset[int]
+    units: frozenset[int]
+    non_units: frozenset[int]
 
 
 @dataclass(frozen=True)
 class ClosedSet:
     """S* with its unit / non-unit split; I(S*) is a group containing 1.
 
-    orbit_sets partitions S* into its I(S*)-orbits, ascending by minimum.
+    orbit_sets partitions S* into its I(S*)-orbits, ascending by minimum;
+    orbit_divisors[i] holds the divisors gcd(s*, m) over the witness set
+    D(x), the same for every x of orbit_sets[i].
     """
 
     m: int
@@ -64,6 +70,7 @@ class ClosedSet:
     units: frozenset[int]
     non_units: frozenset[int]
     orbit_sets: tuple[frozenset[int], ...]
+    orbit_divisors: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -116,15 +123,18 @@ class SigmaAnalysis:
 
 
 def make_base(m: int, elements) -> BaseSet:
-    """Validate and canonicalize a base: residues reduced, 0 present, a unit present."""
+    """Validate and canonicalize a base: residues reduced, 0 present, a unit
+    present.  The unit test splits S into units and non-units, the only
+    place S's elements are tested for units."""
     reduced = frozenset(e % m for e in elements)
     if not reduced:
         raise InvalidBase("base must be non-empty")
     if 0 not in reduced:
         raise InvalidBase("base must contain 0")
-    if not any(math.gcd(e, m) == 1 for e in reduced):
+    units = frozenset(e for e in reduced if math.gcd(e, m) == 1)
+    if not units:
         raise InvalidBase("base must contain at least one unit of Z_m")
-    return BaseSet(m, reduced)
+    return BaseSet(m, reduced, units, reduced - units)
 
 
 def right_base(p: Presentation) -> BaseSet:
@@ -158,71 +168,58 @@ def _unit_group(m: int, gens) -> tuple[list[int], list[int]]:
     return elements, enlarging
 
 
-def _base_units(s: BaseSet) -> list[int]:
-    return sorted(e for e in s.elements if math.gcd(e, s.m) == 1)
-
-
 def closure(s: BaseSet) -> ClosedSet:
     """Least multiplicatively closed superset of S, split into units/non-units
-    and into its U-orbits.
+    and into its U-orbits, each with the divisors of its witness set.
 
     A product with a non-unit factor is a non-unit, so the units of S* form
-    U = <units of S>, built by coset extension in O(|U| log |U|).  S* is a
-    union of U-orbits, grown from the orbit of 1 by a worklist over orbit
-    representatives times the non-unit elements of S only: a unit of S maps
-    every orbit to itself, and S itself enters at the first step, as 1*b.
-    Each orbit is multiplied out once, here, and kept in the result.
-    Cost O(|U| log |U| + orbits*(|U| + |S|)).
+    U = <units of S>, built by coset extension.  S* is a union of U-orbits,
+    grown from the orbit of 1 by a worklist over orbit representatives r
+    times the non-unit elements b of S (S enters at the first step, as 1*b).
+    Each product is formed once and also gives the divisors: D(x) is the
+    same on an orbit, since b*(r*u) = (b*r)*u and gcd(r*u, m) = gcd(r, m),
+    so r*b adds gcd(r, m) to its orbit, found in an int32 label array.  A
+    unit of S keeps every orbit in place, giving each orbit its own gcd.
+    Cost O(|U|*gens + orbits*(|U| + |S|) + |S* - U|).
     """
     m = s.m
-    units, _ = _unit_group(m, _base_units(s))
-    non_unit_gens = sorted(e for e in s.elements if math.gcd(e, m) != 1)
-    unit_set = frozenset(units)
-    elements = set(unit_set)
-    grown = [unit_set]
-    reps = [units[0]]
+    units, _ = _unit_group(m, s.units)
+    label = np.full(m, -1, dtype=np.int32)  # orbit index of each non-unit of S*
+    grown, reps, divisors = [frozenset(units)], [units[0]], [{1}]
     for r in reps:  # the worklist: reps grows while it is walked
-        for b in non_unit_gens:
+        d = math.gcd(r, m)
+        for b in s.non_units:
             v = r * b % m
-            if v not in elements:
+            j = label.item(v)
+            if j < 0:
+                j = len(grown)
                 orbit = frozenset(v * u % m for u in units)
-                elements |= orbit
+                label[np.fromiter(orbit, np.int64, len(orbit))] = j
                 grown.append(orbit)
                 reps.append(v)
-    closed = frozenset(elements)
-    return ClosedSet(m, closed, unit_set, closed - unit_set, tuple(sorted(grown, key=min)))
+                divisors.append({math.gcd(v, m)})
+            divisors[j].add(d)
+    non_units = frozenset().union(*grown[1:])
+    by_min = sorted(zip(grown, map(frozenset, divisors)), key=lambda od: min(od[0]))
+    orbit_sets, orbit_divisors = zip(*by_min)
+    return ClosedSet(m, grown[0] | non_units, grown[0], non_units, orbit_sets, orbit_divisors)
 
 
 def orbits(s: BaseSet, c: ClosedSet) -> list[Orbit]:
     """The orbits closure built, ascending by representative (the minimum),
-    basic when they meet S, each with the minimal divisors of D(x).
-
-    D(x) is the same on each orbit, since b*(r*u) = (b*r)*u and
-    gcd(r*u, m) = gcd(r, m), so one pass over representatives r and b in S
-    adds gcd(r, m) to the orbit of b*r.  A unit b (S holds one) keeps b*r in
-    the orbit of r; a non-unit b sends it to a non-unit orbit, looked up in
-    an int32 label array.  Cost O(|S* - U| + orbits*(|S| + |U|)).
-    """
+    basic when they meet S, each with the minimal ones of the divisors
+    closure recorded for it and the size of the y-set they cover.  No
+    product is formed here: cost O(|S*|) for the minima, plus one y-set per
+    orbit."""
     m = s.m
-    reps = [min(o) for o in c.orbit_sets]
-    gcds = [math.gcd(r, m) for r in reps]
-    label = np.empty(m, dtype=np.int32)
-    for i, o in enumerate(c.orbit_sets):
-        if gcds[i] != 1:
-            label[np.fromiter(o, np.int64, len(o))] = i
-    non_unit_gens = [b for b in s.elements if math.gcd(b, m) != 1]
-    divisors = [{d} for d in gcds]
-    for r, d in zip(reps, gcds):
-        for b in non_unit_gens:
-            divisors[label[b * r % m]].add(d)
     out = []
-    for o, r, ds in zip(c.orbit_sets, reps, divisors):
+    for o, ds in zip(c.orbit_sets, c.orbit_divisors):
         gens_d = _minimal_divisors(ds)
-        out.append(Orbit(r, o, not o.isdisjoint(s.elements), gens_d, _y_set(m, gens_d).size))
+        out.append(Orbit(min(o), o, not o.isdisjoint(s.elements), gens_d, _y_set(m, gens_d).size))
     return out
 
 
-def _minimal_divisors(divisors: set[int]) -> frozenset[int]:
+def _minimal_divisors(divisors: frozenset[int]) -> frozenset[int]:
     return frozenset(
         d for d in divisors if not any(e != d and d % e == 0 for e in divisors)
     )
@@ -270,7 +267,7 @@ def _verify(a: SigmaAnalysis) -> None:
     assert a.base.elements <= c.elements, "S must lie in S*"
     assert c.units == {x for x in c.elements if math.gcd(x, m) == 1}
     assert c.non_units == c.elements - c.units
-    _, unit_gens = _unit_group(m, _base_units(a.base))
+    _, unit_gens = _unit_group(m, a.base.units)
     assert all(u * g % m in c.units for g in unit_gens for u in c.units), "I(S*) must be closed"
     for orb in a.orbits:
         r = orb.representative

@@ -15,7 +15,6 @@ report zero violations on every range.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -188,12 +187,9 @@ def verify_prime_square_m(p_max: int) -> VerificationReport:
                 a = sigma.analyze(pres, base)
                 if not a.complete:
                     violations.append(f"{tag}: {side} side incomplete")
-                non_units = frozenset(
-                    e for e in base.elements if math.gcd(e, m) != 1
-                )
-                if non_units != {0} and non_units != full:
+                if base.non_units != {0} and base.non_units != full:
                     violations.append(
-                        f"{tag}: {side} base non-units {sorted(non_units)} "
+                        f"{tag}: {side} base non-units {sorted(base.non_units)} "
                         "are neither {0} nor all multiples of p"
                     )
     return VerificationReport("prime-square-m", cases, tuple(violations))

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies
 
 from commsemi import group, sigma, survey
 from commsemi.mumap import MuMap
@@ -40,6 +41,26 @@ class TestBases:
             sigma.make_base(5, [])
         base = sigma.make_base(5, [0, -1])  # residues reduced on entry
         assert base.elements == {0, 4}
+        assert base.units == {4} and base.non_units == {0}
+
+    @given(
+        strategies.integers(1, 200),
+        strategies.lists(strategies.integers(-500, 500), max_size=12),
+    )
+    def test_make_base_splits_units(self, m, residues):
+        # negative and off-modulus residues included; 0 is always there, so
+        # only a list without a unit is refused
+        elements = [0, *residues]
+        units = {e % m for e in elements if math.gcd(e, m) == 1}
+        if not units:
+            with pytest.raises(sigma.InvalidBase, match="unit"):
+                sigma.make_base(m, elements)
+            return
+        base = sigma.make_base(m, elements)
+        assert base.elements == {e % m for e in elements}
+        assert base.units | base.non_units == base.elements
+        assert not base.units & base.non_units
+        assert base.units == units
 
     def test_trivial_centre_forces_unit_in_bases(self):
         # validated presentations always have a unit in R and in L; the
@@ -69,7 +90,7 @@ class TestClosure:
 
     def test_idempotent(self, g63):
         c = sigma.closure(sigma.right_base(g63))
-        again = sigma.closure(sigma.BaseSet(63, c.elements))
+        again = sigma.closure(sigma.make_base(63, c.elements))
         assert again.elements == c.elements
 
     def test_unit_nonunit_partition(self, g63):
@@ -303,6 +324,8 @@ class TestEnumerate:
 
 
 def reference_closure(s):
+    """S* with its orbits, and the divisors of D(x) for every x, from one
+    pass over S x S*; each orbit takes the divisors of its least element."""
     m = s.m
     cur = set(s.elements)
     frontier = list(cur)
@@ -315,25 +338,29 @@ def reference_closure(s):
                     cur.add(v)
                     fresh.append(v)
         frontier = fresh
+    divisors = {x: set() for x in cur}
+    for b in s.elements:
+        for st in cur:
+            divisors[b * st % m].add(math.gcd(st, m))
     units = frozenset(u for u in cur if math.gcd(u, m) == 1)
-    orbit_sets, seen = [], set()
+    orbit_sets, orbit_divisors, seen = [], [], set()
     for x in sorted(cur):
         if x not in seen:
             orb = frozenset(x * u % m for u in units)
             seen |= orb
             orbit_sets.append(orb)
-    return sigma.ClosedSet(m, frozenset(cur), units, frozenset(cur - units), tuple(orbit_sets))
+            orbit_divisors.append(frozenset(divisors[x]))
+    closed = sigma.ClosedSet(
+        m, frozenset(cur), units, frozenset(cur - units), tuple(orbit_sets), tuple(orbit_divisors)
+    )
+    return closed, divisors
 
 
 def reference_analyze(p, s):
     """The analysis and its per-x families, every family from its own
-    witnesses; each orbit takes the divisors of its least element."""
+    witnesses; each orbit takes the family of its least element."""
     m = p.m
-    closed = reference_closure(s)
-    divisors = {x: set() for x in closed.elements}
-    for b in s.elements:
-        for st in closed.elements:
-            divisors[b * st % m].add(math.gcd(st, m))
+    closed, divisors = reference_closure(s)
     families = {}
     for x in sorted(closed.elements):
         gens_d = sigma._minimal_divisors(divisors[x])
@@ -450,9 +477,10 @@ class TestVerify:
         # 21 = 3 * 7 leaves S* and verify must say so
         a = sigma.analyze(g63, sigma.right_base(g63))
         c = a.closure
+        kept = [i for i, o in enumerate(c.orbit_sets) if 21 not in o]
         closed = sigma.ClosedSet(
             63, c.elements - {21}, c.units, c.non_units - {21},
-            tuple(o for o in c.orbit_sets if 21 not in o),
+            tuple(c.orbit_sets[i] for i in kept), tuple(c.orbit_divisors[i] for i in kept),
         )
         broken = dataclasses.replace(
             a,
@@ -469,7 +497,7 @@ class TestVerify:
         c = a.closure
         closed = sigma.ClosedSet(
             63, c.elements - {4}, c.units - {4}, c.non_units,
-            tuple(o - {4} for o in c.orbit_sets),
+            tuple(o - {4} for o in c.orbit_sets), c.orbit_divisors,
         )
         orbits = tuple(dataclasses.replace(o, elements=o.elements - {4}) for o in a.orbits)
         broken = dataclasses.replace(a, closure=closed, orbits=orbits)
