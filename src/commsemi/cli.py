@@ -2,8 +2,12 @@
 
 One JSON report per invocation on stdout (schema_version, command,
 parameters, payload; keys sorted, element lists ascending), diagnostics on
-stderr.  --format table renders the same payload for humans: mu-maps print
-as "(x,y)" and containers as "C(x; d)" with the canonical divisor.
+stderr.  The stdout contract is exact: the bytes are
+json.dumps(report, sort_keys=True, indent=2) + "\n", written by this
+module's own writer (_dumps), which produces those bytes without the
+stdlib's pure-Python indent walk.  --format table renders the same payload
+for humans: mu-maps print as "(x,y)" and containers as "C(x; d)" with the
+canonical divisor.
 
 Exit codes: 0 success/agreement, 1 usage error, 2 invalid presentation,
 3 invalid base, 4 oracle mismatch or verification violation, 5 table
@@ -50,9 +54,68 @@ def _report(command: str, parameters: dict, payload) -> dict:
     }
 
 
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for trees
+    of dicts with str keys, lists, tuples and scalars.  With any indent the
+    stdlib leaves its C encoder for a Python walk with one generator frame
+    per node; this walk appends strings to one list, encodes a dict's
+    scalar values in place, writes each list of plain ints in one join,
+    and leaves only rare leaves to json.dumps."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+# the leaves encoded in place, by exact type: a bool is not an int here, so
+# [1, True] takes the item-by-item route and prints true
+_ENCODERS = {
+    int: int.__repr__,
+    str: _encode_str,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _write(o, nl: str, out: list[str]) -> None:
+    """Append o's encoding to out; nl is the newline and indent of o's line."""
+    enc = _ENCODERS.get(type(o))
+    if enc is not None:
+        out.append(enc(o))
+    elif isinstance(o, dict) and o:
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            v = o[key]
+            enc = _ENCODERS.get(type(v))
+            if enc is None:
+                out.append(sep + _encode_str(key) + ": ")
+                _write(v, inner, out)
+            else:
+                out.append(sep + _encode_str(key) + ": " + enc(v))
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)) and o:
+        inner = nl + "  "
+        if set(map(type, o)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:  # floats, subclasses of str and int, and empty dicts and lists
+        out.append(json.dumps(o))
+
+
 def _emit(rep: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(rep, sort_keys=True, indent=2))
+        print(_dumps(rep))
     else:
         _render_table(rep)
 
@@ -107,8 +170,6 @@ def _render_table(rep: dict) -> None:
             print(f"{len(pay['violations'])} violations")
             for v in pay["violations"]:
                 print(f"  {v}")
-    else:
-        print(json.dumps(rep, sort_keys=True, indent=2))
 
 
 def _render_analysis(a: dict) -> None:

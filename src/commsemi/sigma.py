@@ -61,6 +61,7 @@ class ClosedSet:
     """S* with its unit / non-unit split; I(S*) is a group containing 1.
 
     orbit_sets partitions S* into its I(S*)-orbits, ascending by minimum;
+    orbit_minima[i] is the least element of orbit_sets[i], and
     orbit_divisors[i] holds the divisors gcd(s*, m) over the witness set
     D(x), the same for every x of orbit_sets[i].
     """
@@ -71,6 +72,7 @@ class ClosedSet:
     non_units: frozenset[int]
     orbit_sets: tuple[frozenset[int], ...]
     orbit_divisors: tuple[frozenset[int], ...]
+    orbit_minima: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -180,12 +182,14 @@ def closure(s: BaseSet) -> ClosedSet:
     same on an orbit, since b*(r*u) = (b*r)*u and gcd(r*u, m) = gcd(r, m),
     so r*b adds gcd(r, m) to its orbit, found in an int32 label array.  A
     unit of S keeps every orbit in place, giving each orbit its own gcd.
+    Each orbit's minimum is taken once, from the index array that labels
+    it; U's is its first element, 1.
     Cost O(|U|*gens + orbits*(|U| + |S|) + |S* - U|).
     """
     m = s.m
     units, _ = _unit_group(m, s.units)
     label = np.full(m, -1, dtype=np.int32)  # orbit index of each non-unit of S*
-    grown, reps, divisors = [frozenset(units)], [units[0]], [{1}]
+    grown, reps, divisors, minima = [frozenset(units)], [units[0]], [{1}], [units[0]]
     for r in reps:  # the worklist: reps grows while it is walked
         d = math.gcd(r, m)
         for b in s.non_units:
@@ -194,28 +198,34 @@ def closure(s: BaseSet) -> ClosedSet:
             if j < 0:
                 j = len(grown)
                 orbit = frozenset(v * u % m for u in units)
-                label[np.fromiter(orbit, np.int64, len(orbit))] = j
+                where = np.fromiter(orbit, np.int64, len(orbit))
+                label[where] = j
                 grown.append(orbit)
                 reps.append(v)
                 divisors.append({math.gcd(v, m)})
+                minima.append(int(where.min()))
             divisors[j].add(d)
     non_units = frozenset().union(*grown[1:])
-    by_min = sorted(zip(grown, map(frozenset, divisors)), key=lambda od: min(od[0]))
-    orbit_sets, orbit_divisors = zip(*by_min)
-    return ClosedSet(m, grown[0] | non_units, grown[0], non_units, orbit_sets, orbit_divisors)
+    order = sorted(range(len(grown)), key=minima.__getitem__)
+    return ClosedSet(
+        m, grown[0] | non_units, grown[0], non_units,
+        tuple(grown[i] for i in order),
+        tuple(frozenset(divisors[i]) for i in order),
+        tuple(minima[i] for i in order),
+    )
 
 
 def orbits(s: BaseSet, c: ClosedSet) -> list[Orbit]:
-    """The orbits closure built, ascending by representative (the minimum),
-    basic when they meet S, each with the minimal ones of the divisors
-    closure recorded for it and the size of the y-set they cover.  No
-    product is formed here: cost O(|S*|) for the minima, plus one y-set per
-    orbit."""
+    """The orbits closure built, ascending by representative (the minimum
+    closure recorded), basic when they meet S, each with the minimal ones of
+    the divisors closure recorded for it and the size of the y-set they
+    cover.  No product and no minimum is formed here: cost one disjointness
+    test and one y-set per orbit."""
     m = s.m
     out = []
-    for o, ds in zip(c.orbit_sets, c.orbit_divisors):
+    for r, o, ds in zip(c.orbit_minima, c.orbit_sets, c.orbit_divisors):
         gens_d = _minimal_divisors(ds)
-        out.append(Orbit(min(o), o, not o.isdisjoint(s.elements), gens_d, _y_set(m, gens_d).size))
+        out.append(Orbit(r, o, not o.isdisjoint(s.elements), gens_d, _y_set(m, gens_d).size))
     return out
 
 

@@ -234,6 +234,35 @@ class TestScan:
         assert json.dumps(rep, sort_keys=True, indent=2) + "\n" == out
 
 
+# SHA-256 of the JSON stdout of the other commands, with their exit codes:
+# a scan with its records and summary, both oracle checks of G(63,6,2), a
+# verify suite, and one valid and one invalid validate.  Any change to these
+# bytes is a schema change.
+STDOUT_PINS = {
+    ("scan", "--from", "3", "--to", "30"): (
+        0, "6ddfd1d8e4526e691010edd99042e84d9a467ac048b4fd02244050709e71916e",
+    ),
+    ("oracle", "--m", "63", "--k", "2", "--side", "both"): (
+        0, "3462762397eed0716bd7667a0dae96b24a806cb966ca4a39020086e4cfca74e1",
+    ),
+    ("verify", "prime-m", "--p-max", "13"): (
+        0, "d2843eb6cb888154abab319ffefb74dbfd658012fa3dba53c69055a466e5591f",
+    ),
+    ("validate", "--m", "63", "--k", "2"): (
+        0, "6168bb4ea0231b40c8c8a4ec2b2aeabbe313b774a4d6818af192598268ff4a85",
+    ),
+    ("validate", "--m", "9", "--k", "4"): (
+        2, "b8392077049f63289b2255364ad349453a31d906f5bfd80af4aa70b1905b8c0e",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_PINS), ids=lambda a: "_".join(a).replace("--", ""))
+def test_json_stdout_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_PINS[argv]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -315,3 +344,44 @@ class TestVerify:
         )
         assert code == 0
         assert "zero violations" in out
+
+
+# JSON trees for the writer: plain and huge ints, bools mixed into int lists
+# (the type(v) is int trap), None, floats with -0.0, inf and nan, strings
+# with quotes, backslashes, control characters and non-ASCII text, tuples
+# beside lists, and empty and nested containers.
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf")]),
+    st.text(),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f é \U0001f600'),
+)
+_int_lists = st.lists(st.one_of(st.integers(), st.booleans()), min_size=1)
+_trees = st.recursive(
+    _leaves | _int_lists,
+    lambda kids: st.one_of(
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.dictionaries(st.text(), kids),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+@example([1, True])
+@example({"a": [], "b": {}, "c": [[], {}], "": [0, -1, 2**64]})
+@example([-0.0, float("inf"), float("nan"), None, False])
+def test_writer_matches_json_dumps(tree):
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("tree", [{1: 2}, {"a": {None: 1}}, [{1.5: 0}], {True: 0}, {(1,): 0}])
+def test_writer_refuses_non_str_keys(tree):
+    with pytest.raises(TypeError):
+        cli._dumps(tree)

@@ -343,15 +343,17 @@ def reference_closure(s):
         for st in cur:
             divisors[b * st % m].add(math.gcd(st, m))
     units = frozenset(u for u in cur if math.gcd(u, m) == 1)
-    orbit_sets, orbit_divisors, seen = [], [], set()
+    orbit_sets, orbit_divisors, orbit_minima, seen = [], [], [], set()
     for x in sorted(cur):
         if x not in seen:
             orb = frozenset(x * u % m for u in units)
             seen |= orb
             orbit_sets.append(orb)
             orbit_divisors.append(frozenset(divisors[x]))
+            orbit_minima.append(x)
     closed = sigma.ClosedSet(
-        m, frozenset(cur), units, frozenset(cur - units), tuple(orbit_sets), tuple(orbit_divisors)
+        m, frozenset(cur), units, frozenset(cur - units),
+        tuple(orbit_sets), tuple(orbit_divisors), tuple(orbit_minima),
     )
     return closed, divisors
 
@@ -481,6 +483,7 @@ class TestVerify:
         closed = sigma.ClosedSet(
             63, c.elements - {21}, c.units, c.non_units - {21},
             tuple(c.orbit_sets[i] for i in kept), tuple(c.orbit_divisors[i] for i in kept),
+            tuple(c.orbit_minima[i] for i in kept),
         )
         broken = dataclasses.replace(
             a,
@@ -497,7 +500,7 @@ class TestVerify:
         c = a.closure
         closed = sigma.ClosedSet(
             63, c.elements - {4}, c.units - {4}, c.non_units,
-            tuple(o - {4} for o in c.orbit_sets), c.orbit_divisors,
+            tuple(o - {4} for o in c.orbit_sets), c.orbit_divisors, c.orbit_minima,
         )
         orbits = tuple(dataclasses.replace(o, elements=o.elements - {4}) for o in a.orbits)
         broken = dataclasses.replace(a, closure=closed, orbits=orbits)
