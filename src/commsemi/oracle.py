@@ -4,7 +4,8 @@ Two independent routes are kept deliberately separate from the container
 engine:
 
 * pair closure: worklist closure of mu-map generator codes under the
-  composition law alone.  No containers, no orbits, no families.
+  composition law alone.  No containers, no orbits, no families.  Each
+  partner gets one residue row, so a product of codes is two gathers.
 * table closure: function tables built from raw commutators g^-1 h^-1 g h
   and closed under pointwise composition.  No mu-map algebra at all; the
   only shared code is group-element arithmetic.
@@ -27,8 +28,10 @@ float64, since every partial sum is an integer below 2^53), a
 universal-hashing scheme whose collision bound is independent of the
 algebra under test; the per-group closure stays exact at byte level.  The
 hashes are read off weight histograms built from the same two terms,
-with no table.  Every dedupe of codes or fingerprints is a
-sort plus a neighbour compare (`_sorted_unique`): numpy's hash-based
+with no table; the hashes of given mu-maps (`mu_table_fingerprints`) are
+read off per-coset histograms keyed through residue tables, one cumsum
+giving their carries.  Every dedupe of codes or fingerprints is a sort
+plus a neighbour compare (`_sorted_unique`): numpy's hash-based
 `np.unique` is several times slower on these integer arrays.  Temporaries
 are blocked at `_GRID_ENTRIES` entries.  A differential check reads each
 closure row back as the mu-map it can be, compares those codes with the
@@ -64,10 +67,11 @@ _FP_BITS = 26
 _GRID_ENTRIES = 4_000_000
 # Pair-oracle budgets: entries of the m*m membership masks, and the product
 # bound m*m*|S| (every closure code times every partner x).  On a 2-core
-# machine a full closure of m*m = 4.1M codes, G(2029,2,2028), took 2.8 s at
-# 70 MB peak, G(4095,12,212) right (m*m = 16.8M, 2.0e8 products) 1.1 s at
-# 110 MB, and G(509,508,3) right (1.3e8 products) 1.7 s, about 13 ns per
-# product.
+# machine, one fresh process per case, a full closure of m*m = 4.1M codes,
+# G(2029,2,2028), took 1.2 s at 69 MB peak (its two partners leave the
+# time to the per-round mask passes), G(4095,12,212) right (m*m = 16.8M,
+# 2.0e8 products bound) 0.12-0.13 s at 82 MB, and G(509,508,3) right
+# (1.3e8 products) 0.34-0.35 s at 46 MB, about 2.6 ns per product.
 PAIR_MASK_LIMIT = 1 << 24
 PAIR_PRODUCT_LIMIT = 1 << 28
 
@@ -110,22 +114,36 @@ def pair_closure_codes(p: Presentation, gen_codes: np.ndarray) -> np.ndarray:
 
     Composing on the right with generators only suffices (every product
     reduces to gen.gen...gen), and one partner per distinct x does too: the
-    composition law never reads the partner's y.  Each round marks its
-    products in a boolean `fresh` mask beside the m*m `seen` table, so a
-    round dedupes by scattering, with no sort and no concatenated batch.
-    Raises PairBudgetExceeded first when _check_pair_budget refuses.
+    composition law mu(x, y) o mu(s, .) = mu(x*s, y*s) never reads the
+    partner's y.  Each partner s gets one residue row low[s, r] = r*s mod m
+    and its multiple high = low*m, so the product of code x*m + y is
+    high[s, x] + low[s, y]: two gathers per product into buffers reused
+    across a round's partners, the frontier split by one divmod per round.
+    The rows hold partners*m*2 int64, a few MB within the budgets.  Each
+    round marks its products in a boolean `fresh` mask beside the m*m
+    `seen` table, so a round dedupes by scattering, with no sort and no
+    concatenated batch.  Raises PairBudgetExceeded first when
+    _check_pair_budget refuses.
     """
     m = p.m
     frontier = _sorted_unique(np.asarray(gen_codes, dtype=np.int64))
     partner_xs = _sorted_unique(frontier // m)
     _check_pair_budget(m, partner_xs.size)
+    low = np.outer(partner_xs, np.arange(m, dtype=np.int64)) % m
+    high = low * m
     seen = np.zeros(m * m, dtype=bool)
     fresh = np.zeros_like(seen)
     seen[frontier] = True
     while frontier.size:
         x, y = np.divmod(frontier, m)
-        for s in partner_xs:
-            fresh[(x * s % m) * m + (y * s % m)] = True
+        prod, part = np.empty_like(x), np.empty_like(y)
+        for low_s, high_s in zip(low, high):
+            # mode="clip" writes straight into the buffer ("raise" buffers a
+            # copy); every index is a residue, so nothing is clipped
+            high_s.take(x, out=prod, mode="clip")
+            low_s.take(y, out=part, mode="clip")
+            prod += part
+            fresh[prod] = True
         np.greater(fresh, seen, out=fresh)  # not yet seen; also clears the last round
         frontier = np.flatnonzero(fresh)
         seen[frontier] = True
@@ -439,13 +457,18 @@ def mu_table_fingerprints(p: Presentation, codes: np.ndarray) -> np.ndarray:
 
     where U = (x*A) mod m, ytab = (y*k_j) mod m, Wj sums the weights over
     each b-coset, and the carry weight adds w_e over the entries with
-    U[e] < ytab[j_e].  One pass serves every distinct x of a block at once:
-    a bincount over (x, j, u) keys gives the per-coset weight histograms,
-    w . U is that histogram times u, an exclusive cumsum gives the carry
-    weights below each u, and one fancy-index gather reads them for every
-    code.  Blocks of x keep the (x, element) grid at _GRID_ENTRIES.  Float
-    sums stay exact (integers below 2^53, `_check_fp_exact`); returns the
-    sorted uint64 fingerprint vector.
+    U[e] < ytab[j_e].  Residue tables replace per-entry products: ytab is
+    one (m, n) table read at each code's y, and the keys x*A mod m of a
+    block come from one scaled-residue row x*u mod m per x, gathered at A.
+    One pass serves every distinct x of a block at once: a bincount over
+    (x, j, u) keys gives the per-coset weight histograms, each in a row of
+    width m + 1 whose first slot stays empty, and w . U is that histogram
+    times u.  One in-place cumsum of the rows then holds at slot c the
+    carry weight of the residues below c, so one gather at ytab reads it
+    for every code, with no exclusive-sum temporary.  Blocks of x keep the
+    (x, element) grid at _GRID_ENTRIES.  Float sums stay exact (integers
+    below 2^53, `_check_fp_exact`); returns the sorted uint64 fingerprint
+    vector.
     """
     m, n = p.m, p.n
     _, j_of, a_vec = _element_arrays(p)
@@ -457,31 +480,40 @@ def mu_table_fingerprints(p: Presentation, codes: np.ndarray) -> np.ndarray:
     x_vals = _sorted_unique(xs)
     x_of = np.searchsorted(x_vals, xs)  # index of each code's x
 
-    ksub = np.asarray(p.k_sub[:n], dtype=np.int64)
     # weight mass of each b-coset (exact: every partial sum stays below 2^38)
     wj = np.stack([np.bincount(j_of, weights=w[s], minlength=n) for s in range(2)])
-    ytab = np.outer(ys, ksub) % m  # (codes, n)
-    fp = -(ytab @ wj.astype(np.int64).T)  # (codes, 2)
+    residues = np.arange(m, dtype=np.int64)
+    ytab = np.outer(residues, np.asarray(p.k_sub[:n], dtype=np.int64)) % m  # (y, j) -> y*k_j
+    fp = -(ytab @ wj.astype(np.int64).T)[ys]  # (codes, 2)
 
+    # one padded row of width m + 1 per (x, j): residue u sits in slot u + 1
+    # and slot 0 stays empty, so after an inclusive cumsum slot c of a row
+    # holds the weight of the residues below c
+    width = m + 1
+    ytab += np.arange(n) * width  # slot of y*k_j in row j of an x
+    j_off = j_of * width + 1
+    u_of_slot = np.tile(np.arange(-1, m, dtype=np.float64), n)  # slot 0 weighs nothing
     block = max(1, min(x_vals.size, _GRID_ENTRIES // mn))
     w_rows = np.tile(w.astype(np.float64), block)  # (2, block*mn)
-    key_base = (np.arange(block, dtype=np.int64)[:, None] * n + j_of) * m  # (x, j, 0)
-    u_of_key = np.tile(np.arange(m, dtype=np.float64), n)
     for lo in range(0, x_vals.size, block):
         xb = x_vals[lo : lo + block]
         nb = xb.size
-        key = (xb[:, None] * a_vec) % m
-        key += key_base[:nb]
+        scaled = np.outer(xb, residues) % m
+        scaled += (np.arange(nb, dtype=np.int64) * (n * width))[:, None]
+        key = scaled[:, a_vec]
+        key += j_off
         key = key.ravel()
         c_lo, c_hi = np.searchsorted(x_of, [lo, lo + nb])
-        at = ((x_of[c_lo:c_hi] - lo)[:, None] * n + np.arange(n)) * m + ytab[c_lo:c_hi]
+        x_rel = x_of[c_lo:c_hi] - lo
+        at = ytab[ys[c_lo:c_hi]]
+        at += (x_rel * (n * width))[:, None]
         for s in range(2):
-            hist = np.bincount(key, weights=w_rows[s, : nb * mn], minlength=nb * mn)
-            dot_u = hist.reshape(nb, mn) @ u_of_key
-            below = np.cumsum(hist.reshape(nb * n, m), axis=1)
-            below -= hist.reshape(nb * n, m)
-            carry = below.ravel()[at].sum(axis=1)
-            fp[c_lo:c_hi, s] += dot_u[x_of[c_lo:c_hi] - lo].astype(np.int64)
+            hist = np.bincount(key, weights=w_rows[s, : nb * mn], minlength=nb * n * width)
+            dot_u = hist.reshape(nb, n * width) @ u_of_slot
+            rows = hist.reshape(nb * n, width)
+            np.cumsum(rows, axis=1, out=rows)
+            carry = hist.take(at).sum(axis=1)
+            fp[c_lo:c_hi, s] += dot_u[x_rel].astype(np.int64)
             fp[c_lo:c_hi, s] += m * carry.astype(np.int64)
     return _sorted_unique(_combine64(fp[:, 0], fp[:, 1]))
 

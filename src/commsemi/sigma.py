@@ -42,8 +42,19 @@ RIGHT, LEFT = "right", "left"
 SIDES = (RIGHT, LEFT)
 
 
+# Codes element_codes writes at most: 2^27 int64 codes, 1 GiB.  It is above
+# the pair oracle's m*m mask bound (oracle.PAIR_MASK_LIMIT = 2^24), since no
+# semigroup holds more than m*m maps, so every group the pair oracle checks
+# gets its codes.  Both sides of G(15015,n,2) (97M and 126M maps) fit too.
+CODE_LIMIT = 1 << 27
+
+
 class InvalidBase(ValueError):
     """The proposed base is missing 0, has no unit, or is off-modulus."""
+
+
+class CodeBudgetExceeded(ValueError):
+    """The semigroup has more maps than element_codes may list."""
 
 
 @dataclass(frozen=True)
@@ -301,7 +312,13 @@ def element_codes(a: SigmaAnalysis) -> np.ndarray:
     The y-set is built once per orbit and written at every x of the orbit.
     Each x's block x*m + Y ends at the cumulative sum of the family sizes
     of the residues up to x (0 off S*), so the result comes out sorted.
+    Raises CodeBudgetExceeded, before allocating anything, when the order
+    is above CODE_LIMIT.
     """
+    if a.total_order > CODE_LIMIT:
+        raise CodeBudgetExceeded(
+            f"{a.total_order} maps exceed the element-code limit {CODE_LIMIT}"
+        )
     m = a.presentation.m
     sizes = np.zeros(m, dtype=np.int64)
     for o in a.orbits:

@@ -1,7 +1,9 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commsemi import group, mumap, oracle, sigma, survey
 from commsemi.mumap import MuMap
@@ -92,6 +94,27 @@ class TestPairClosure:
         via_objects = pair_closure(p, mu_generators(p, base))
         via_codes = oracle.pair_closure_codes(p, oracle.mu_generator_codes(p, base))
         assert sorted(f.x * p.m + f.y for f in via_objects) == via_codes.tolist()
+
+    @settings(max_examples=60, deadline=2000)
+    @given(st.data())
+    def test_codes_path_matches_object_path_random_bases(self, data):
+        # custom bases of odd m <= 29 (G(m, n, 2) is valid for every odd m)
+        # holding 0, some non-units and several units: every partner x gets
+        # its own residue row, x = 0 the all-zero one
+        m = data.draw(st.sampled_from(range(3, 30, 2)), label="m")
+        units = [r for r in range(1, m) if math.gcd(r, m) == 1]
+        non_units = [r for r in range(1, m) if math.gcd(r, m) > 1]
+
+        def some(pool, least, most):
+            count = data.draw(st.integers(least, min(most, len(pool))))
+            return data.draw(st.permutations(pool))[:count]
+
+        chosen = some(units, 2, 6) + some(non_units, 0, 4)
+        p = group.validate(m, 2)
+        base = make_base(m, [0, *chosen])
+        via_objects = pair_closure(p, mu_generators(p, base))
+        via_codes = oracle.pair_closure_codes(p, oracle.mu_generator_codes(p, base))
+        assert sorted(f.x * m + f.y for f in via_objects) == via_codes.tolist()
 
     def test_rho_generators_are_gamma_of_right_base(self, g63):
         # {rho(g)} and {mu(s, z) : s in R} generate from the same set
@@ -240,7 +263,15 @@ class TestFingerprints:
         p = group.validate(*mk)
         codes = np.asarray(sigma.element_codes(sigma.analyze(p, survey.base_for(p, side))))
         one_x = codes[codes // p.m == codes[-1] // p.m]
-        for subset in (codes, codes[:0], one_x, one_x[:1], codes[::5]):
+        # the first and last slot of a padded carry row: y*k_j = 0 (y = 0, or
+        # j = 0 for any y) and y*k_j = m - 1 (y = -1/k_j for a unit k_j)
+        m, k_sub = p.m, p.k_sub[: p.n]
+        edge_ys = [0] + [(m - 1) * pow(t, -1, m) % m for t in k_sub if math.gcd(t, m) == 1]
+        assert any(y * t % m == m - 1 for y in edge_ys for t in k_sub)
+        edges = np.array([x * m + y for x in (0, 1, m - 1, codes[-1] // m) for y in edge_ys])
+        mixed = np.concatenate([codes[::7], edges, edges[::2], codes[::11]])
+        np.random.default_rng(5).shuffle(mixed)
+        for subset in (codes, codes[:0], one_x, one_x[:1], codes[::5], edges, mixed):
             want = fingerprints_of_rows(p, oracle._mu_tables(p, subset))
             got = oracle.mu_table_fingerprints(p, subset)
             assert got.dtype == np.uint64 and np.array_equal(got, want)

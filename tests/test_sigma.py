@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies
 
-from commsemi import group, sigma, survey
+from commsemi import group, oracle, sigma, survey
 from commsemi.mumap import MuMap
 
 # R* of G(63,6,2), fixed by hand from the k_t table and closure arithmetic
@@ -314,6 +314,30 @@ class TestEnumerate:
                     assert (np.diff(codes) > 0).all(), (m, p.k, side)
                     cases += 1
         assert cases == 3146
+
+    def test_code_budget_one_below_and_one_above(self, monkeypatch, g63):
+        # G(63,6,2) right holds 1566 maps: listed under a budget one above
+        # that order or equal to it, refused under one below it
+        a = sigma.analyze(g63, sigma.right_base(g63))
+        want = sigma.element_codes(a)
+        for limit in (a.total_order + 1, a.total_order):
+            monkeypatch.setattr(sigma, "CODE_LIMIT", limit)
+            assert np.array_equal(sigma.element_codes(a), want)
+        monkeypatch.setattr(sigma, "CODE_LIMIT", a.total_order - 1)
+        with pytest.raises(sigma.CodeBudgetExceeded, match=str(a.total_order - 1)):
+            sigma.element_codes(a)
+
+    def test_code_budget_refuses_before_allocating(self, monkeypatch):
+        # G(100003,100002,2) right has m*m = 10^10 maps, 74.5 GiB of codes
+        p = group.validate(100003, 2)
+        a = sigma.analyze(p, sigma.right_base(p))
+        assert a.total_order == 100003 * 100003
+        monkeypatch.setattr(sigma, "_y_set", None)  # the refusal comes first
+        with pytest.raises(sigma.CodeBudgetExceeded, match=str(sigma.CODE_LIMIT)):
+            sigma.element_codes(a)
+
+    def test_code_budget_covers_the_pair_oracle(self):
+        assert sigma.CODE_LIMIT >= oracle.PAIR_MASK_LIMIT
 
 
 # ---------------------------------------------------------------------------
