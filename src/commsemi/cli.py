@@ -289,7 +289,7 @@ def _cmd_analyze(args) -> int:
     params = {"m": args.m, "k": args.k, "side": args.side, "base": args.base}
     p = group.validate(args.m, args.k)
     analyses = [
-        _analysis_payload(sigma.analyze(p, base, verify=args.verify), label)
+        _analysis_payload(sigma.analyze(p, base), label)
         for label, base in _sides_and_bases(p, args)
     ]
     _emit(_report("analyze", params, {"analyses": analyses}), args.format)
@@ -410,7 +410,6 @@ def build_parser() -> _Parser:
     p_an.add_argument("--k", type=int, required=True)
     p_an.add_argument("--side", choices=(*sigma.SIDES, "both"), default="both")
     p_an.add_argument("--base", help="comma-separated residues overriding --side")
-    p_an.add_argument("--verify", action="store_true", help="run internal cross-checks")
     _add_format(p_an)
     p_an.set_defaults(func=_cmd_analyze)
 

@@ -74,9 +74,6 @@ class Presentation:
     def order(self) -> int:
         return self.m * self.n
 
-    def element(self, i: int, j: int) -> GroupElement:
-        return GroupElement(i % self.m, j % self.n)
-
     def elements(self) -> list[GroupElement]:
         return [GroupElement(i, j) for i in range(self.m) for j in range(self.n)]
 

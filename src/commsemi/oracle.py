@@ -31,12 +31,11 @@ hashes are read off weight histograms built from the same two terms,
 with no table; the hashes of given mu-maps (`mu_table_fingerprints`) are
 read off per-coset histograms keyed through residue tables, one cumsum
 giving their carries.  Every dedupe of codes or fingerprints is a sort
-plus a neighbour compare (`_sorted_unique`): numpy's hash-based
-`np.unique` is several times slower on these integer arrays.  Temporaries
-are blocked at `_GRID_ENTRIES` entries.  A differential check reads each
-closure row back as the mu-map it can be, compares those codes with the
-engine's and each row with the table of its code, and a mismatch names a
-witness mu-map whichever side holds the extra map.
+plus a neighbour compare (`_sorted_unique`).  Temporaries are blocked at
+`_GRID_ENTRIES` entries.  A differential check reads each closure row
+back as the mu-map it can be, compares those codes with the engine's and
+each row with the table of its code, and a mismatch names a witness
+mu-map whichever side holds the extra map.
 """
 
 from __future__ import annotations
@@ -65,13 +64,13 @@ _FP_BITS = 26
 # Entries per int grid block (grid builds, histograms, mu-map tables): caps
 # the temporaries at a few tens of MB whatever the group order.
 _GRID_ENTRIES = 4_000_000
-# Pair-oracle budgets: entries of the m*m membership masks, and the product
+# Pair-oracle budgets: entries of the m*m membership mask, and the product
 # bound m*m*|S| (every closure code times every partner x).  On a 2-core
-# machine, one fresh process per case, a full closure of m*m = 4.1M codes,
-# G(2029,2,2028), took 1.2 s at 69 MB peak (its two partners leave the
-# time to the per-round mask passes), G(4095,12,212) right (m*m = 16.8M,
-# 2.0e8 products bound) 0.12-0.13 s at 82 MB, and G(509,508,3) right
-# (1.3e8 products) 0.34-0.35 s at 46 MB, about 2.6 ns per product.
+# machine, one fresh process per case, right side: the full closures of
+# D_4093 = G(4093,2,4092) (16.8M codes in 4092 rounds) and G(2029,2,2028)
+# (4.1M codes in 2028 rounds) took 0.28 s at 174 MB and 0.08-0.09 s at
+# 65 MB, G(4095,12,212) (m*m = 16.8M, 2.0e8 products bound) 0.10 s at
+# 72 MB, and G(509,508,3) (1.3e8 products) 0.30-0.31 s at 46 MB.
 PAIR_MASK_LIMIT = 1 << 24
 PAIR_PRODUCT_LIMIT = 1 << 28
 
@@ -95,7 +94,7 @@ def mu_generator_codes(p: Presentation, s: BaseSet) -> np.ndarray:
 
 
 def _check_pair_budget(m: int, partners: int) -> None:
-    """Refuse a pair closure whose m*m masks or whose product bound
+    """Refuse a pair closure whose m*m mask or whose product bound
     m*m*partners (partners: the distinct x of the generators, |S| for a
     base S) is over budget, before anything is allocated."""
     if m * m > PAIR_MASK_LIMIT:
@@ -119,10 +118,10 @@ def pair_closure_codes(p: Presentation, gen_codes: np.ndarray) -> np.ndarray:
     and its multiple high = low*m, so the product of code x*m + y is
     high[s, x] + low[s, y]: two gathers per product into buffers reused
     across a round's partners, the frontier split by one divmod per round.
-    The rows hold partners*m*2 int64, a few MB within the budgets.  Each
-    round marks its products in a boolean `fresh` mask beside the m*m
-    `seen` table, so a round dedupes by scattering, with no sort and no
-    concatenated batch.  Raises PairBudgetExceeded first when
+    The rows hold partners*m*2 int64, a few MB within the budgets.  The
+    next frontier is the products a round marks first in the one m*m
+    `seen` mask, so each code is in one frontier and the work is
+    |closure|*partners products.  Raises PairBudgetExceeded first when
     _check_pair_budget refuses.
     """
     m = p.m
@@ -132,21 +131,21 @@ def pair_closure_codes(p: Presentation, gen_codes: np.ndarray) -> np.ndarray:
     low = np.outer(partner_xs, np.arange(m, dtype=np.int64)) % m
     high = low * m
     seen = np.zeros(m * m, dtype=bool)
-    fresh = np.zeros_like(seen)
     seen[frontier] = True
     while frontier.size:
         x, y = np.divmod(frontier, m)
         prod, part = np.empty_like(x), np.empty_like(y)
+        found = []
         for low_s, high_s in zip(low, high):
             # mode="clip" writes straight into the buffer ("raise" buffers a
             # copy); every index is a residue, so nothing is clipped
             high_s.take(x, out=prod, mode="clip")
             low_s.take(y, out=part, mode="clip")
             prod += part
-            fresh[prod] = True
-        np.greater(fresh, seen, out=fresh)  # not yet seen; also clears the last round
-        frontier = np.flatnonzero(fresh)
-        seen[frontier] = True
+            new = prod[~seen[prod]]
+            seen[new] = True
+            found.append(new)
+        frontier = _sorted_unique(np.concatenate(found))
     return np.flatnonzero(seen)
 
 
@@ -377,12 +376,12 @@ def _fingerprint_build(p: Presentation):
     n circulant rows per generator, summed over j; no mn x mn grid or tiled
     weight row is formed, and the gather is blocked at _GRID_ENTRIES.  Every
     sum is exact in float64 (integers below 2^53, `_check_fp_exact`).  The
-    generator hashes are w . g = W_g @ arange(m), and the restrictions to
-    <a> are A[t, 0, i(h)] + B[t, a^i].  The left side follows from
-    [h, x] = [x, h]^-1, v -> (m - v) % m on a-exponents: its generator
-    hashes are m*sum(w) - h - m*W[h, 0], exact in int64, and as the flip is
-    an involution, r . W_l = r[flip] . W_r, so it shares W and flips the
-    columns of its restriction closure instead of copying W.
+    restrictions to <a> are A[t, 0, i(h)] + B[t, a^i].  The left side
+    follows from [h, x] = [x, h]^-1, the flip v -> (m - v) % m on
+    a-exponents, so one rule hashes both sides' generators: w . g is
+    W_g @ arange(m) on the right and W_g @ flip on the left.  As the flip
+    is an involution, r . W_l = r[flip] . W_r, so the left side shares W
+    and flips the columns of its restriction closure instead of copying W.
     """
     m, n = p.m, p.n
     mn = m * n
@@ -407,11 +406,11 @@ def _fingerprint_build(p: Presentation):
             for s in range(2):
                 w_t[s, lo : lo + block] = circ[s][t][j_col, q].sum(axis=0)
             r_t[lo : lo + block] = (a[t, 0, lo : lo + block, None] + b[t, ::n]) % m
+    flip = (m - np.arange(m)) % m
     gen_fp_r = (wg @ np.arange(m, dtype=np.float64)).T.astype(np.int64)
-    gen_fp_l = (m * w.sum(axis=1))[None, :] - gen_fp_r - m * wg[:, :, 0].T.astype(np.int64)
+    gen_fp_l = (wg @ flip.astype(np.float64)).T.astype(np.int64)
     restr_r = _close(restr, restr[:0])
     restr_l = (m - restr_r) % m
-    flip = (m - np.arange(m)) % m
     return {
         RIGHT: (gen_fp_r, wg, _close(restr_r, restr_r)),
         LEFT: (gen_fp_l, wg, _close(restr_l, restr_l)[:, flip]),

@@ -259,19 +259,15 @@ def _y_set(m: int, divisors: frozenset[int]) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
-def analyze(p: Presentation, s: BaseSet, *, verify: bool = False) -> SigmaAnalysis:
+def analyze(p: Presentation, s: BaseSet) -> SigmaAnalysis:
     """Full decomposition of the semigroup based on S: closure, orbits and
-    the order, the sum of |orbit| * y_set_size.  With verify=True the
-    closure and each orbit's divisors are checked on the result."""
+    the order, the sum of |orbit| * y_set_size."""
     if s.m != p.m:
         raise InvalidBase(f"base modulus {s.m} does not match presentation modulus {p.m}")
     closed = closure(s)
     orbs = tuple(orbits(s, closed))
     total = sum(len(o.elements) * o.y_set_size for o in orbs)
-    analysis = SigmaAnalysis(p, s, closed, orbs, total, all(o.basic for o in orbs))
-    if verify:
-        _verify(analysis)
-    return analysis
+    return SigmaAnalysis(p, s, closed, orbs, total, all(o.basic for o in orbs))
 
 
 def _verify(a: SigmaAnalysis) -> None:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -115,6 +116,30 @@ class TestPairClosure:
         via_objects = pair_closure(p, mu_generators(p, base))
         via_codes = oracle.pair_closure_codes(p, oracle.mu_generator_codes(p, base))
         assert sorted(f.x * m + f.y for f in via_objects) == via_codes.tolist()
+
+    @pytest.mark.parametrize("prime", survey.primes_up_to(59)[1:])
+    def test_codes_path_matches_object_path_dihedral(self, prime):
+        # D_p = G(p, 2, p - 1): R = {0, p - 2} and L = {0, 2} close one
+        # small frontier per round, up to ord_p(-2) = 52 rounds (p = 53)
+        p = group.validate(prime, prime - 1)
+        for base in (right_base(p), left_base(p)):
+            via_objects = pair_closure(p, mu_generators(p, base))
+            via_codes = oracle.pair_closure_codes(p, oracle.mu_generator_codes(p, base))
+            assert sorted(f.x * prime + f.y for f in via_objects) == via_codes.tolist()
+
+    def test_many_round_closure_costs_its_products(self):
+        # D_2029 right takes 2028 rounds of 2029 new codes each: its 8.2M
+        # products take under 0.1 s, while one pass over the whole m*m mask
+        # per round would add about 1 s
+        p = group.validate(2029, 2028)
+        gens = oracle.mu_generator_codes(p, right_base(p))
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            codes = oracle.pair_closure_codes(p, gens)
+            best = min(best, time.perf_counter() - t0)
+        assert codes.size == 2029 * 2029 and codes[-1] == 2029 * 2029 - 1
+        assert best < 0.6, best
 
     def test_rho_generators_are_gamma_of_right_base(self, g63):
         # {rho(g)} and {mu(s, z) : s in R} generate from the same set

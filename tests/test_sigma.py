@@ -227,14 +227,17 @@ def test_family_codes_match_definition():
 
 class TestAnalyze:
     def test_s3_orders(self, g3):
-        ar = sigma.analyze(g3, sigma.right_base(g3), verify=True)
-        al = sigma.analyze(g3, sigma.left_base(g3), verify=True)
+        ar = sigma.analyze(g3, sigma.right_base(g3))
+        al = sigma.analyze(g3, sigma.left_base(g3))
+        sigma._verify(ar)
+        sigma._verify(al)
         assert ar.total_order == 6
         assert al.total_order == 9
         assert ar.complete and al.complete
 
     def test_custom_base_example(self, g5):
-        a = sigma.analyze(g5, sigma.make_base(5, [0, 4]), verify=True)
+        a = sigma.analyze(g5, sigma.make_base(5, [0, 4]))
+        sigma._verify(a)
         assert sorted(a.closure.elements) == [0, 1, 4]
         assert a.complete
         assert a.total_order == 15
@@ -243,14 +246,16 @@ class TestAnalyze:
         # 22 basic elements contribute 63 each; the six-element orbit of 9
         # contributes 6*21 and the singleton orbits 27 each: 1566.  This
         # value is pinned by the pair and table oracles (test_oracle).
-        a = sigma.analyze(g63, sigma.right_base(g63), verify=True)
+        a = sigma.analyze(g63, sigma.right_base(g63))
+        sigma._verify(a)
         assert len(a.closure.elements) == 30
         assert not a.complete
         assert a.total_order == 22 * 63 + 6 * 21 + 27 + 27 == 1566
 
     def test_complete_case_order_formula(self, g7):
         for base in (sigma.right_base(g7), sigma.left_base(g7)):
-            a = sigma.analyze(g7, base, verify=True)
+            a = sigma.analyze(g7, base)
+            sigma._verify(a)
             assert a.complete
             assert a.total_order == 7 * len(a.closure.elements)
         assert sigma.analyze(g7, sigma.right_base(g7)).total_order == 49
@@ -258,7 +263,8 @@ class TestAnalyze:
 
     def test_completeness_iff_all_orbits_basic(self, g63):
         for side in (sigma.right_base(g63), sigma.left_base(g63)):
-            a = sigma.analyze(g63, side, verify=True)
+            a = sigma.analyze(g63, side)
+            sigma._verify(a)
             assert a.complete == all(o.basic for o in a.orbits)
             for f, x in zip(a.families, sorted(a.closure.elements)):
                 assert f.x == x
@@ -405,7 +411,8 @@ def reference_analyze(p, s):
 
 
 def assert_matches_reference(p, base, label):
-    a = sigma.analyze(p, base, verify=True)
+    a = sigma.analyze(p, base)
+    sigma._verify(a)
     ref, families = reference_analyze(p, base)
     assert a == ref, label
     assert a.families == families, label
