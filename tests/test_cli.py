@@ -263,6 +263,48 @@ def test_json_stdout_pinned(capsys, argv):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_PINS[argv]
 
 
+# SHA-256 of the --format table stdout of the same commands, with their exit
+# codes: the table renders the payload, so it is pinned beside the JSON.
+TABLE_PINS = {
+    ("scan", "--from", "3", "--to", "30"): (
+        0, "d11a5984ce7b8c5c63306d4fbecdb28c42d32f89e3cbd89fb135ac1ada2c6334",
+    ),
+    ("oracle", "--m", "63", "--k", "2", "--side", "both"): (
+        0, "809709b1e6f4ec72f224977f7dd1022d16326bd704150ae30a5677a79b0db31c",
+    ),
+    ("verify", "prime-m", "--p-max", "13"): (
+        0, "651c6a3caf845c013b38a9f52d3fc7ece68d68e184639cd1da694ff441c00235",
+    ),
+    ("validate", "--m", "9", "--k", "4"): (
+        2, "7d6f2497fab2ed3f443390673e442647d68149960007856ecf23b24c4a587c9c",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_PINS), ids=lambda a: "_".join(a).replace("--", ""))
+def test_table_stdout_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "table")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == TABLE_PINS[argv]
+
+
+# The exact diagnostic and exit code of each failure path that still writes
+# (or, for the bad range, withholds) a report.
+STDERR_PINS = {
+    ("oracle", "--m", "1031", "--k", "1030", "--side", "right"): (
+        5, "table oracle skipped: cap exceeded\n",
+    ),
+    ("validate", "--m", "9", "--k", "4"): (2, "invalid presentation: gcd(9, 3) = 3 != 1\n"),
+    ("scan", "--from", "10", "--to", "5"): (1, "error: bad scan range [10, 5]\n"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDERR_PINS), ids=lambda a: "_".join(a).replace("--", ""))
+def test_stderr_and_exit_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == STDERR_PINS[argv]
+    assert (out == "") == (argv[0] == "scan")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
