@@ -9,6 +9,13 @@ stdlib's pure-Python indent walk.  --format table renders the same payload
 for humans: mu-maps print as "(x,y)" and containers as "C(x; d)" with the
 canonical divisor.
 
+There is one report path.  Each command returns its payload, exit code and
+diagnostic, and main() writes the report and the diagnostic.  The
+parameters are the parsed options (minus the command, its handler and the
+output format), and the payloads are the library's records: a ScanRecord's
+fields, a VerificationReport's fields plus ok, and a DifferentialReport's
+fields plus agree, less m and k, which are parameters already.
+
 Exit codes: 0 success/agreement, 1 usage error, 2 invalid presentation,
 3 invalid base, 4 oracle mismatch or verification violation, 5 table
 oracle skipped: m*n over oracle.TABLE_CAP or the exact closure over
@@ -43,15 +50,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
-
-
-def _report(command: str, parameters: dict, payload) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "parameters": parameters,
-        "payload": payload,
-    }
 
 
 def _dumps(obj) -> str:
@@ -113,20 +111,11 @@ def _write(o, nl: str, out: list[str]) -> None:
         out.append(json.dumps(o))
 
 
-def _emit(rep: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(_dumps(rep))
-    else:
-        _render_table(rep)
-
-
 # ---------------------------------------------------------------------------
 # table rendering
 
 
-def _render_table(rep: dict) -> None:
-    cmd = rep["command"]
-    pay = rep["payload"]
+def _render_table(cmd: str, pay: dict) -> None:
     if cmd == "validate":
         if pay["valid"]:
             print(f"G({pay['m']},{pay['n']},{pay['k']}) is valid: n = {pay['n']}")
@@ -137,17 +126,13 @@ def _render_table(rep: dict) -> None:
             _render_analysis(a)
     elif cmd == "oracle":
         for c in pay["checks"]:
-            status = "agree" if c["agree"] else "MISMATCH"
-            table = c["table_status"]
-            extra = f", table={table}"
-            if c["table_order"] is not None:
-                extra += f" ({c['table_order']})"
+            order = "" if c["table_order"] is None else f" ({c['table_order']})"
             print(
-                f"[{c['base_label']}] engine={c['engine_order']} "
-                f"pair={c['pair_order']}{extra}: {status}"
+                f"[{c['base_label']}] engine={c['engine_order']} pair={c['pair_order']}, "
+                f"table={c['table_status']}{order}: {'agree' if c['agree'] else 'MISMATCH'}"
             )
-            if c["witness"] is not None:
-                w = c["witness"]
+            w = c["witness"]
+            if w is not None:
                 print(f"  witness ({w['x']},{w['y']})")
     elif cmd == "scan":
         for r in pay["records"]:
@@ -156,12 +141,8 @@ def _render_table(rep: dict) -> None:
                 f"m={r['m']} k={r['k']} n={r['n']} {r['side']:>5}: "
                 f"order={r['order']} complete={r['complete']} non-basic=[{reps}]"
             )
-        hits = pay["non_basic_m"]
-        if hits:
-            listing = ", ".join(f"{m} = {f}" for m, f in hits.items())
-            print(f"moduli with non-basic orbits: {listing}")
-        else:
-            print("moduli with non-basic orbits: none")
+        listing = ", ".join(f"{m} = {f}" for m, f in pay["non_basic_m"].items())
+        print(f"moduli with non-basic orbits: {listing or 'none'}")
     elif cmd == "verify":
         print(f"suite {pay['suite']}: {pay['cases']} cases, ", end="")
         if pay["ok"]:
@@ -232,18 +213,13 @@ def _analysis_payload(a: sigma.SigmaAnalysis, side_label: str) -> dict:
 
 
 def _check_payload(rep: oracle.DifferentialReport) -> dict:
-    return {
-        "base_label": rep.base_label,
-        "base": list(rep.base),
-        "engine_order": rep.engine_order,
-        "pair_order": rep.pair_order,
-        "pair_agree": rep.pair_agree,
-        "table_status": rep.table_status,
-        "table_order": rep.table_order,
-        "table_agree": rep.table_agree,
-        "agree": rep.agree,
-        "witness": None if rep.witness is None else {"x": rep.witness.x, "y": rep.witness.y},
-    }
+    """The report's fields but m and k, which are parameters, plus agree;
+    the witness map is written as {x, y}."""
+    payload = {**vars(rep), "agree": rep.agree}
+    del payload["m"], payload["k"]
+    if rep.witness is not None:
+        payload["witness"] = vars(rep.witness)
+    return payload
 
 
 def _parse_base(text: str, m: int) -> sigma.BaseSet:
@@ -264,9 +240,12 @@ def _sides_and_bases(p, args) -> list[tuple[str, sigma.BaseSet]]:
 # ---------------------------------------------------------------------------
 # commands
 
+# what each command hands to main(): its payload (None when it writes no
+# report), its exit code, and its diagnostic for stderr (None when silent)
+_Outcome = tuple[dict | None, int, str | None]
 
-def _cmd_validate(args) -> int:
-    params = {"m": args.m, "k": args.k}
+
+def _cmd_validate(args) -> _Outcome:
     try:
         p = group.validate(args.m, args.k)
     except group.InvalidPresentation as exc:
@@ -277,100 +256,56 @@ def _cmd_validate(args) -> int:
             "reason": type(exc).__name__,
             "detail": str(exc),
         }
-        _emit(_report("validate", params, payload), args.format)
-        print(f"invalid presentation: {exc}", file=sys.stderr)
-        return EX_INVALID_PRESENTATION
-    payload = {"valid": True, "m": p.m, "k": p.k, "n": p.n}
-    _emit(_report("validate", params, payload), args.format)
-    return EX_OK
+        return payload, EX_INVALID_PRESENTATION, f"invalid presentation: {exc}"
+    return {"valid": True, "m": p.m, "k": p.k, "n": p.n}, EX_OK, None
 
 
-def _cmd_analyze(args) -> int:
-    params = {"m": args.m, "k": args.k, "side": args.side, "base": args.base}
+def _cmd_analyze(args) -> _Outcome:
     p = group.validate(args.m, args.k)
     analyses = [
         _analysis_payload(sigma.analyze(p, base), label)
         for label, base in _sides_and_bases(p, args)
     ]
-    _emit(_report("analyze", params, {"analyses": analyses}), args.format)
-    return EX_OK
+    return {"analyses": analyses}, EX_OK, None
 
 
-def _cmd_oracle(args) -> int:
-    params = {
-        "m": args.m,
-        "k": args.k,
-        "side": args.side,
-        "base": args.base,
-        "oracle_cap": oracle.TABLE_CAP,
-    }
+def _cmd_oracle(args) -> _Outcome:
     p = group.validate(args.m, args.k)
-    checks = [
-        _check_payload(oracle.differential_check(p, base))
-        for _, base in _sides_and_bases(p, args)
-    ]
-    _emit(_report("oracle", params, {"checks": checks}), args.format)
-    if any(not c["agree"] for c in checks):
-        print("oracle mismatch", file=sys.stderr)
-        return EX_MISMATCH
-    if any(c["table_status"] == "cap_exceeded" for c in checks):
-        print("table oracle skipped: cap exceeded", file=sys.stderr)
-        return EX_CAP_EXCEEDED
-    return EX_OK
+    reports = [oracle.differential_check(p, base) for _, base in _sides_and_bases(p, args)]
+    payload = {"checks": [_check_payload(r) for r in reports]}
+    if not all(r.agree for r in reports):
+        return payload, EX_MISMATCH, "oracle mismatch"
+    if any(r.table_status == "cap_exceeded" for r in reports):
+        return payload, EX_CAP_EXCEEDED, "table oracle skipped: cap exceeded"
+    return payload, EX_OK, None
 
 
-def _cmd_scan(args) -> int:
-    params = {"from": getattr(args, "from"), "to": args.to, "jobs": args.jobs}
+def _cmd_scan(args) -> _Outcome:
     try:
-        records = survey.scan(params["from"], params["to"], jobs=args.jobs)
+        records = survey.scan(getattr(args, "from"), args.to, jobs=args.jobs)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    payload = {
-        "records": [
-            {
-                "m": r.m,
-                "k": r.k,
-                "n": r.n,
-                "side": r.side,
-                "non_basic_reps": list(r.non_basic_reps),
-                "complete": r.complete,
-                "order": r.order,
-            }
-            for r in records
-        ],
-        "non_basic_m": {
-            str(m): f for m, f in survey.non_basic_moduli(records).items()
-        },
-    }
-    _emit(_report("scan", params, payload), args.format)
-    return EX_OK
+        return None, EX_USAGE, f"error: {exc}"
+    hits = {str(m): f for m, f in survey.non_basic_moduli(records).items()}
+    return {"records": [vars(r) for r in records], "non_basic_m": hits}, EX_OK, None
 
 
-def _cmd_verify(args) -> int:
-    suites = {
-        "prime-m": lambda: survey.verify_prime_m(args.p_max),
-        "prime-square-m": lambda: survey.verify_prime_square_m(args.p_max),
-        "prime-n": lambda: survey.verify_prime_n(args.m_max),
-        "lemma-6-4": lambda: survey.verify_minimal_prime_index(args.m_max),
-    }
-    report = suites[args.suite]()
-    params = {"suite": args.suite}
-    if hasattr(args, "p_max"):
-        params["p_max"] = args.p_max
-    if hasattr(args, "m_max"):
-        params["m_max"] = args.m_max
-    payload = {
-        "suite": report.suite,
-        "cases": report.cases,
-        "violations": list(report.violations),
-        "ok": report.ok,
-    }
-    _emit(_report("verify", params, payload), args.format)
-    if not report.ok:
-        print(f"{len(report.violations)} violations", file=sys.stderr)
-        return EX_MISMATCH
-    return EX_OK
+# verify's suites: the option bounding each, its default, and its survey
+# function, named so that it is looked up in survey at call time
+_SUITES = {
+    "prime-m": ("p_max", 97, "verify_prime_m"),
+    "prime-square-m": ("p_max", 11, "verify_prime_square_m"),
+    "prime-n": ("m_max", 200, "verify_prime_n"),
+    "lemma-6-4": ("m_max", 125, "verify_minimal_prime_index"),
+}
+
+
+def _cmd_verify(args) -> _Outcome:
+    flag, _, suite = _SUITES[args.suite]
+    report = getattr(survey, suite)(getattr(args, flag))
+    payload = {**vars(report), "ok": report.ok}
+    if report.ok:
+        return payload, EX_OK, None
+    return payload, EX_MISMATCH, f"{len(report.violations)} violations"
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +320,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_format(p) -> None:
-    p.add_argument("--format", choices=("json", "table"), default="json")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="commsemi",
@@ -399,67 +330,75 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_val = sub.add_parser("validate", help="validate a presentation G(m, ind_m(k), k)")
-    p_val.add_argument("--m", type=int, required=True)
-    p_val.add_argument("--k", type=int, required=True)
-    _add_format(p_val)
+    presentation = argparse.ArgumentParser(add_help=False)
+    presentation.add_argument("--m", type=int, required=True)
+    presentation.add_argument("--k", type=int, required=True)
+    sides = argparse.ArgumentParser(add_help=False, parents=[presentation])
+    sides.add_argument("--side", choices=(*sigma.SIDES, "both"), default="both")
+    sides.add_argument("--base", help="comma-separated residues overriding --side")
+
+    p_val = sub.add_parser(
+        "validate", parents=[presentation], help="validate a presentation G(m, ind_m(k), k)"
+    )
     p_val.set_defaults(func=_cmd_validate)
-
-    p_an = sub.add_parser("analyze", help="decompose a commutation or custom semigroup")
-    p_an.add_argument("--m", type=int, required=True)
-    p_an.add_argument("--k", type=int, required=True)
-    p_an.add_argument("--side", choices=(*sigma.SIDES, "both"), default="both")
-    p_an.add_argument("--base", help="comma-separated residues overriding --side")
-    _add_format(p_an)
+    p_an = sub.add_parser(
+        "analyze", parents=[sides], help="decompose a commutation or custom semigroup"
+    )
     p_an.set_defaults(func=_cmd_analyze)
-
-    p_or = sub.add_parser("oracle", help="differential check against brute-force oracles")
-    p_or.add_argument("--m", type=int, required=True)
-    p_or.add_argument("--k", type=int, required=True)
-    p_or.add_argument("--side", choices=(*sigma.SIDES, "both"), default="both")
-    p_or.add_argument("--base", help="comma-separated residues overriding --side")
-    _add_format(p_or)
-    p_or.set_defaults(func=_cmd_oracle)
-
+    p_or = sub.add_parser(
+        "oracle", parents=[sides], help="differential check against brute-force oracles"
+    )
+    # not an option: the table oracle's cap is reported among the parameters
+    p_or.set_defaults(func=_cmd_oracle, oracle_cap=oracle.TABLE_CAP)
     p_sc = sub.add_parser("scan", help="survey a range of moduli for non-basic orbits")
     p_sc.add_argument("--from", dest="from", type=int, required=True)
     p_sc.add_argument("--to", type=int, required=True)
     p_sc.add_argument("--jobs", type=_positive_int, default=1)
-    _add_format(p_sc)
     p_sc.set_defaults(func=_cmd_scan)
+    leaves = [p_val, p_an, p_or, p_sc]
 
     p_ve = sub.add_parser("verify", help="run a theorem verification suite")
     ver_sub = p_ve.add_subparsers(dest="suite", required=True, parser_class=_Parser)
-    for name, flag, default in (
-        ("prime-m", "p_max", 97),
-        ("prime-square-m", "p_max", 11),
-        ("prime-n", "m_max", 200),
-        ("lemma-6-4", "m_max", 125),
-    ):
+    for name, (flag, default, _) in _SUITES.items():
         sp = ver_sub.add_parser(name)
         sp.add_argument(
             f"--{flag.replace('_', '-')}", dest=flag, type=_positive_int, default=default
         )
-        _add_format(sp)
         sp.set_defaults(func=_cmd_verify)
+        leaves.append(sp)
 
+    # added after each command's own options, so every usage line ends with it
+    for leaf in leaves:
+        leaf.add_argument("--format", choices=("json", "table"), default="json")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code, diagnostic = args.func(args)
     except group.InvalidPresentation as exc:
-        print(f"invalid presentation: {exc}", file=sys.stderr)
-        return EX_INVALID_PRESENTATION
+        payload, code, diagnostic = None, EX_INVALID_PRESENTATION, f"invalid presentation: {exc}"
     except sigma.InvalidBase as exc:
-        print(f"invalid base: {exc}", file=sys.stderr)
-        return EX_INVALID_BASE
+        payload, code, diagnostic = None, EX_INVALID_BASE, f"invalid base: {exc}"
     except oracle.PairBudgetExceeded as exc:
-        print(f"pair oracle refused: {exc}", file=sys.stderr)
-        return EX_PAIR_BUDGET
+        payload, code, diagnostic = None, EX_PAIR_BUDGET, f"pair oracle refused: {exc}"
+    if payload is not None and args.format == "table":
+        _render_table(args.command, payload)
+    elif payload is not None:
+        params = {
+            key: v for key, v in vars(args).items() if key not in ("command", "func", "format")
+        }
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "parameters": params,
+            "payload": payload,
+        }
+        print(_dumps(report))
+    if diagnostic is not None:
+        print(diagnostic, file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -83,13 +83,12 @@ class Presentation:
 
 def _build(m: int, k: int) -> Presentation:
     n = zmod.mult_order(k, m)
-    c = zmod.mod_inverse(k, m)
-    k_pow, c_pow = [1], [1]
+    k_pow = [1]
     for _ in range(n):
         k_pow.append(k_pow[-1] * k % m)
-        c_pow.append(c_pow[-1] * c % m)
     k_sub = tuple((x - 1) % m for x in k_pow)
-    return Presentation(m, n, k, tuple(k_pow), k_sub, tuple(c_pow))
+    # c^t = k^(n - t), since k^n = 1
+    return Presentation(m, n, k, tuple(k_pow), k_sub, tuple(k_pow[::-1]))
 
 
 def validate(m: int, k: int) -> Presentation:

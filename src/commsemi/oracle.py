@@ -340,9 +340,15 @@ def _mu_tables(p: Presentation, codes) -> np.ndarray:
 # fingerprint variant (bulk sweeps)
 
 
+@lru_cache(maxsize=1)
 def _fp_weights(mn: int) -> np.ndarray:
+    """The two seeded weight rows for a group of order mn, drawn once per
+    order (both sides of a group and both fingerprint routes share them) and
+    read-only, since every caller holds the cached array."""
     rng = np.random.default_rng(_FP_SEED)
-    return rng.integers(1, 1 << _FP_BITS, size=(2, mn), dtype=np.int64)
+    w = rng.integers(1, 1 << _FP_BITS, size=(2, mn), dtype=np.int64)
+    w.flags.writeable = False
+    return w
 
 
 def _check_fp_exact(m: int, mn: int) -> None:

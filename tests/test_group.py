@@ -46,6 +46,21 @@ class TestValidate:
         with pytest.raises(ValueError):
             group.validate(5, 7)
 
+    def test_c_powers_are_k_powers_reversed(self):
+        # c = k^-1 and k^n = 1, so c^t = k^(n - t): c_pow is k_pow read
+        # backwards, and each entry is the inverse power computed directly
+        valid = 0
+        for m in range(3, 200):
+            for k in range(2, m):
+                try:
+                    p = group.validate(m, k)
+                except group.InvalidPresentation:
+                    continue
+                valid += 1
+                assert p.c_pow == p.k_pow[::-1], (m, k)
+                assert list(p.c_pow) == [pow(k, -t, m) for t in range(p.n + 1)], (m, k)
+        assert valid == 6563
+
     @pytest.mark.parametrize("m_hi", [80])
     def test_validated_m_is_always_odd(self, m_hi):
         # even m forces k odd, hence gcd(m, k-1) >= 2

@@ -241,6 +241,17 @@ class TestFingerprints:
                 want = fingerprints_of_rows(p, oracle.table_closure(p, side))
                 assert np.array_equal(fp, want), (mk, side)
 
+    def test_weights_drawn_once_per_order_and_read_only(self):
+        # both routes hash with the same seeded rows, drawn once per group
+        # order and shared, so no caller may write into them
+        w = oracle._fp_weights(378)
+        assert oracle._fp_weights(378) is w
+        rng = np.random.default_rng(oracle._FP_SEED)
+        fresh = rng.integers(1, 1 << oracle._FP_BITS, size=(2, 378), dtype=np.int64)
+        assert np.array_equal(w, fresh)
+        with pytest.raises(ValueError):
+            w[0, 0] = 1
+
     @pytest.mark.parametrize("mk", [(7, 3), (19, 2), (37, 2), (63, 2), (91, 5)])
     @pytest.mark.parametrize("side", sigma.SIDES)
     def test_build_matches_definition(self, mk, side):

@@ -4,7 +4,7 @@ perfbench drives the library from outside: its tracer wraps public names
 and reads the analysis fields (``families``, ``generators_d``, every size
 counter), and every output is checked against ``perfbench/pins.json``.  A
 refactor that renames a wrapped function or drops a field the tracer reads
-breaks the benchmark without failing any other test; these run three
+breaks the benchmark without failing any other test; these run all four
 workloads traced, through perfbench's own worker, and require every case
 correct and every wrapped name present.
 """
@@ -17,7 +17,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("name", ["scan-small", "analyze-large", "oracle-sweep"])
+@pytest.mark.parametrize("name", ["scan-small", "analyze-large", "oracle-sweep", "oracle-exact"])
 def test_traced_workload_matches_pins(monkeypatch, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import worker

@@ -109,6 +109,21 @@ class TestTheoremSuites:
                 outcomes.add(same)
         assert outcomes == {True, False}
 
+    def test_divisors_decide_map_set_equality(self):
+        # the chain's "map sets equal" link compares each x's minimal divisors
+        # read off the orbits; on every valid presentation with m < 100 that
+        # agrees with comparing the element codes, and both outcomes occur
+        outcomes = set()
+        for q in range(3, 100):
+            for p in survey.validated_presentations(q):
+                ar = sigma.analyze(p, sigma.right_base(p))
+                al = sigma.analyze(p, sigma.left_base(p))
+                same = survey._divisors_by_x(ar) == survey._divisors_by_x(al)
+                codes_equal = np.array_equal(sigma.element_codes(ar), sigma.element_codes(al))
+                assert same == codes_equal, (q, p.k)
+                outcomes.add(same)
+        assert outcomes == {True, False}
+
     def test_prime_square_m(self):
         report = survey.verify_prime_square_m(7)
         assert report.ok and report.cases > 0
