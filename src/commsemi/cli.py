@@ -14,7 +14,7 @@ diagnostic, and main() writes the report and the diagnostic.  The
 parameters are the parsed options (minus the command, its handler and the
 output format), and the payloads are the library's records: a ScanRecord's
 fields, a VerificationReport's fields plus ok, and a DifferentialReport's
-fields plus agree, less m and k, which are parameters already.
+fields plus agree.
 
 Exit codes: 0 success/agreement, 1 usage error, 2 invalid presentation,
 3 invalid base, 4 oracle mismatch or verification violation, 5 table
@@ -213,13 +213,9 @@ def _analysis_payload(a: sigma.SigmaAnalysis, side_label: str) -> dict:
 
 
 def _check_payload(rep: oracle.DifferentialReport) -> dict:
-    """The report's fields but m and k, which are parameters, plus agree;
-    the witness map is written as {x, y}."""
-    payload = {**vars(rep), "agree": rep.agree}
-    del payload["m"], payload["k"]
-    if rep.witness is not None:
-        payload["witness"] = vars(rep.witness)
-    return payload
+    """The report's fields plus agree, with the witness map as {x, y}."""
+    witness = None if rep.witness is None else vars(rep.witness)
+    return {**vars(rep), "agree": rep.agree, "witness": witness}
 
 
 def _parse_base(text: str, m: int) -> sigma.BaseSet:

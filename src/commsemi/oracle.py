@@ -16,26 +16,30 @@ derivation (`_class_terms`) splits each right-side commutator [x, h],
 one b-class of h at a time, into a term of h and the b-exponent of x plus
 a term of x; the tables x -> [x, h] are their broadcast sum, and the left
 side x -> [h, x] = [x, h]^-1 is its pointwise negation.  One worklist
-closure (`_close`) serves the exact table closure,
-the closures of the generator restrictions to <a>, and the dedupe of those
-restrictions.  Both table routes refuse a group of order m*n above
-TABLE_CAP before any build (`_check_table_cap`), and `_close` refuses once
-it would hold more than TABLE_ENTRY_LIMIT entries, so the exact closure
-answers or raises CapExceeded whatever the group.  For bulk sweeps the
-module also offers a fingerprint variant of the table oracle: candidate
-tables are deduplicated by two independent random-linear hashes (exact in
-float64, since every partial sum is an integer below 2^53), a
-universal-hashing scheme whose collision bound is independent of the
-algebra under test; the per-group closure stays exact at byte level.  The
-hashes are read off weight histograms built from the same two terms,
-with no table; the hashes of given mu-maps (`mu_table_fingerprints`) are
-read off per-coset histograms keyed through residue tables, one cumsum
-giving their carries.  Every dedupe of codes or fingerprints is a sort
-plus a neighbour compare (`_sorted_unique`).  Temporaries are blocked at
-`_GRID_ENTRIES` entries.  A differential check reads each closure row
-back as the mu-map it can be, compares those codes with the engine's and
-each row with the table of its code, and a mismatch names a witness
-mu-map whichever side holds the extra map.
+closure (`_close`) serves the exact table closure, the closures of the
+generator restrictions to <a>, and the dedupe of those restrictions.
+Both table routes pass one front door (`_check_table_route`), which
+refuses a side not in SIDES and then a group of order m*n above
+TABLE_CAP, before any build; `_close` refuses once it would hold more
+than TABLE_ENTRY_LIMIT entries, so the exact closure answers or raises
+CapExceeded whatever the group.  For bulk sweeps the module also offers a
+fingerprint variant of the table oracle: candidate tables are
+deduplicated by two independent random-linear hashes (exact in float64,
+since every partial sum is an integer below 2^53), a universal-hashing
+scheme whose collision bound is independent of the algebra under test;
+the per-group closure stays exact at byte level.  The hashes are read off
+weight histograms built from the same two terms, with no table; the
+hashes of given mu-maps (`mu_table_fingerprints`) are read off per-coset
+histograms keyed through residue tables, one cumsum giving their carries.
+Every dedupe of codes or fingerprints is a sort plus a neighbour compare
+(`_sorted_unique`).  Temporaries are blocked at `_GRID_ENTRIES` entries.
+
+A differential check reads each closure row back as the mu-map it can be,
+compares those codes with the engine's and each row with the table of its
+code.  A mismatch has one rule for its witness: the least code where the
+engine and an oracle differ, whichever oracle or side holds it, counting
+every row that is no mu-map by the code it decodes to.  Differences are
+formed only on disagreement.
 """
 
 from __future__ import annotations
@@ -229,10 +233,9 @@ def _generator_tables(p: Presentation, side: str) -> tuple[np.ndarray, np.ndarra
     mod m, one broadcast add in blocks of _GRID_ENTRIES.  The left side
     x -> [h, x] = [x, h]^-1 is its pointwise negation v -> (m - v) % m.
     The terms are spot-checked against the scalar commutator here, and the
-    tables exhaustively in the test suite.
+    tables exhaustively in the test suite.  The side is not checked here:
+    the table routes check it at their front door (`_check_table_route`).
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     m, n = p.m, p.n
     mn = m * n
     a, b = _class_terms(p)
@@ -297,8 +300,12 @@ def _stack(rows: list[bytes], width: int) -> np.ndarray:
     return np.frombuffer(b"".join(rows), dtype=np.uint16).reshape(-1, width)
 
 
-def _check_table_cap(p: Presentation) -> None:
-    """Refuse a table route on a group of order above TABLE_CAP, before any build."""
+def _check_table_route(p: Presentation, side: str) -> None:
+    """The front door of both table routes, before any build: refuse a side
+    that is not one of SIDES (ValueError), then a group of order above
+    TABLE_CAP (CapExceeded)."""
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     if p.m * p.n > TABLE_CAP:
         raise CapExceeded(f"group order {p.m * p.n} exceeds table cap {TABLE_CAP}")
 
@@ -310,10 +317,11 @@ def table_closure(p: Presentation, side: str) -> np.ndarray:
     generator restrictions (composition only reads a partner on <a>, where
     every table under closure takes its values).  Returns one uint16 row of
     a-exponents per map, in sorted byte order; entry e is the image of
-    a^(e//n) b^(e%n).  Raises CapExceeded when `_check_table_cap` refuses
-    the group or the closure outgrows TABLE_ENTRY_LIMIT.
+    a^(e//n) b^(e%n).  Raises ValueError on a bad side and CapExceeded on
+    a group `_check_table_route` refuses, both before any build, and
+    CapExceeded when the closure outgrows TABLE_ENTRY_LIMIT.
     """
-    _check_table_cap(p)
+    _check_table_route(p, side)
     return _close(*_generator_tables(p, side))
 
 
@@ -435,12 +443,11 @@ def table_fingerprints(p: Presentation, side: str) -> np.ndarray:
     multiplies instead of table materializations.  Distinct tables collide
     with probability about 2^-52 per pair (two independent 26-bit-weight
     hashes, folded to one word); the result is a sorted uint64 vector,
-    deduplicated by `_sorted_unique`.  Groups of order above TABLE_CAP are
-    refused before any build (`_check_table_cap`).
+    deduplicated by `_sorted_unique`.  A bad side (ValueError) and a group
+    of order above TABLE_CAP (CapExceeded) are refused before any build
+    (`_check_table_route`).
     """
-    _check_table_cap(p)
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    _check_table_route(p, side)
     gen_fp, wg, rc = _fingerprint_build(p)[side]
     rc_f = rc.astype(np.float64)
     prod0 = rc_f @ wg[0].T  # (rc, g)
@@ -529,8 +536,6 @@ def mu_table_fingerprints(p: Presentation, codes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DifferentialReport:
-    m: int
-    k: int
     base_label: str
     base: tuple[int, ...]
     engine_order: int
@@ -554,38 +559,32 @@ def differential_check(p: Presentation, s: BaseSet) -> DifferentialReport:
     The table oracle runs only when S is one of the two commutation bases
     (its generators are group-theoretic); when `table_closure` refuses with
     CapExceeded, the table status is "cap_exceeded".
+
+    Each comparison first tests agreement: equal code arrays for the pair
+    oracle; for the table oracle, every closure row is the table of the
+    mu-map it decodes to, and the decoded codes are the engine's.  Only on
+    disagreement are the differing codes formed: the symmetric difference
+    with the engine's codes, plus the decoded code of every row that is no
+    mu-map.  The witness is the least differing code over both oracles,
+    whichever side holds it.
     """
     m = p.m
     _check_pair_budget(m, len(s.elements))
     engine_codes = sigma_mod.element_codes(sigma_mod.analyze(p, s))
     pair_codes = pair_closure_codes(p, mu_generator_codes(p, s))
-    pair_agree = engine_codes.size == pair_codes.size and bool(
-        np.array_equal(engine_codes, pair_codes)
-    )
+    pair_agree = bool(np.array_equal(engine_codes, pair_codes))
+    differing = [] if pair_agree else [np.setxor1d(engine_codes, pair_codes)]
 
-    witness = None
-    if not pair_agree:
-        diff = np.setxor1d(engine_codes, pair_codes)
-        witness = MuMap(*divmod(int(diff[0]), m))
-
-    if s.elements == right_base(p).elements:
-        base_label, side = RIGHT, RIGHT
-    elif s.elements == left_base(p).elements:
-        base_label, side = LEFT, LEFT
-    else:
-        base_label, side = "custom", None
-
-    table_status = "not_applicable"
-    table_order: int | None = None
-    table_agree: bool | None = None
+    bases = ((RIGHT, right_base), (LEFT, left_base))
+    side = next((label for label, base in bases if s.elements == base(p).elements), None)
+    table_status, table_order, table_agree = "not_applicable", None, None
     if side is not None:
         try:
             rows = table_closure(p, side)
         except CapExceeded:
             table_status = "cap_exceeded"
         else:
-            table_status = "ok"
-            table_order = len(rows)
+            table_status, table_order = "ok", len(rows)
             # mu(x, y) sends a (entry n) to a^x and b (entry 1) to a^(-y*(k-1)),
             # so each row names the one mu-map it can be
             row_codes = rows[:, p.n].astype(np.int64) * m + (
@@ -593,16 +592,11 @@ def differential_check(p: Presentation, s: BaseSet) -> DifferentialReport:
             )
             is_mu = (_mu_tables(p, row_codes) == rows).all(axis=1)
             table_agree = bool(is_mu.all()) and np.array_equal(np.sort(row_codes), engine_codes)
-            if not table_agree and witness is None:
-                extra = np.setdiff1d(engine_codes, row_codes[is_mu])
-                if not extra.size:
-                    extra = np.union1d(row_codes[~is_mu], np.setdiff1d(row_codes, engine_codes))
-                witness = MuMap(*divmod(int(extra[0]), m))
+            if not table_agree:
+                differing += [np.setxor1d(engine_codes, row_codes), row_codes[~is_mu]]
 
     return DifferentialReport(
-        m=p.m,
-        k=p.k,
-        base_label=base_label,
+        base_label=side or "custom",
         base=tuple(sorted(s.elements)),
         engine_order=int(engine_codes.size),
         pair_order=int(pair_codes.size),
@@ -610,5 +604,5 @@ def differential_check(p: Presentation, s: BaseSet) -> DifferentialReport:
         table_status=table_status,
         table_order=table_order,
         table_agree=table_agree,
-        witness=witness,
+        witness=MuMap(*divmod(int(np.concatenate(differing).min()), m)) if differing else None,
     )

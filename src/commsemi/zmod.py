@@ -1,10 +1,10 @@
 """Exact arithmetic in the multiplicative semigroup Z_m.
 
 Residues are plain ints kept fully reduced into [0, m), so equality is
-structural: `mod_inverse` and `mult_order` reduce their own arguments, and
-outside input is reduced where it enters (`sigma.make_base`) or refused
-(`group.validate`).  The modulus must fit in a signed 64-bit word; Python's
-big ints make overflow a non-issue beyond that check.
+structural: `mult_order` reduces its own argument, and outside input is
+reduced where it enters (`sigma.make_base`) or refused (`group.validate`).
+The modulus must fit in a signed 64-bit word; Python's big ints make
+overflow a non-issue beyond that check.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ MAX_MODULUS = 2**63 - 1
 
 
 class NonUnit(ValueError):
-    """An inverse or multiplicative order was requested for a non-unit."""
+    """A multiplicative order was requested for a non-unit."""
 
 
 def check_modulus(m: int) -> int:
@@ -31,14 +31,6 @@ def gcd(a: int, b: int) -> int:
     if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
     return math.gcd(a, b)
-
-
-def mod_inverse(r: int, m: int) -> int:
-    """The s in [0, m) with r*s = 1 (mod m); raises NonUnit if none exists."""
-    try:
-        return pow(r % m, -1, m)
-    except ValueError:
-        raise NonUnit(f"{r} is not invertible mod {m}") from None
 
 
 def mult_order(k: int, m: int) -> int:

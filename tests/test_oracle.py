@@ -182,6 +182,21 @@ class TestTableClosure:
         with pytest.raises(oracle.CapExceeded, match="table cap"):
             oracle.table_closure(group.validate(101, 2), "right")
 
+    @pytest.mark.parametrize("mk", [(63, 2), (101, 2)])
+    def test_bad_side_refused_before_any_build(self, monkeypatch, mk):
+        # both table routes pass one front door: a side that is not one of
+        # SIDES is refused before any build, and before the cap on
+        # G(101,100,2), whose order 10100 is over TABLE_CAP
+        def build(*args):
+            raise AssertionError("table build reached")
+
+        monkeypatch.setattr(oracle, "_generator_tables", build)
+        monkeypatch.setattr(oracle, "_fingerprint_build", build)
+        p = group.validate(*mk)
+        for route in (oracle.table_closure, oracle.table_fingerprints):
+            with pytest.raises(ValueError, match="side must be one of"):
+                route(p, "up")
+
     @pytest.mark.parametrize("fixture", ["g3", "g5", "g7", "g63"])
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_generator_build_matches_scalar_commutators(self, fixture, side, request):
@@ -396,6 +411,18 @@ class TestDifferentialCheck:
         assert rep.table_status == "not_applicable"
         assert rep.table_order is None
 
+    @pytest.mark.parametrize(
+        "side,residues,order",
+        [("right", [0, 1, 3, 7, 15, 31], 1566), ("left", [0, 32, 48, 56, 60, 62], 2133)],
+    )
+    def test_base_given_by_residues_is_labelled_by_side(self, g63, side, residues, order):
+        # a base equal to R (or L) of G(63,6,2) is that side's base however
+        # it was built, so it is labelled by its side and the table oracle runs
+        rep = oracle.differential_check(g63, make_base(63, residues))
+        assert rep.base_label == side
+        assert rep.table_status == "ok" and rep.table_order == order
+        assert rep.agree and rep.witness is None
+
     def test_cap_exceeded_still_runs_pair(self, monkeypatch):
         # G(101,100,2) has order 10100 > TABLE_CAP; the pair route still runs
         def build(*args):
@@ -465,6 +492,33 @@ class TestDifferentialCheck:
         assert rep.pair_agree
         assert rep.table_agree is False and not rep.agree
         assert rep.witness == MuMap(*divmod(extra, p.m))
+
+    def test_witness_is_least_differing_code(self, monkeypatch, g63):
+        # G(63,6,2) right with an extra map on each side of the table
+        # comparison: the engine and the pair oracle lose code 1 = (0,1), the
+        # table closure loses the row of (61,62).  The witness is the least
+        # code where the engine and an oracle differ, (0,1), though the
+        # engine side holds (61,62) and the table side (0,1).
+        base = right_base(g63)
+        low, high = 1, 61 * 63 + 62
+        codes = sigma.element_codes(sigma.analyze(g63, base))
+        assert low in codes and high in codes
+        element_codes, pair_codes = sigma.element_codes, oracle.pair_closure_codes
+        monkeypatch.setattr(sigma, "element_codes", lambda a: (c := element_codes(a))[c != low])
+        monkeypatch.setattr(
+            oracle, "pair_closure_codes", lambda *a: (c := pair_codes(*a))[c != low]
+        )
+        row = oracle._mu_tables(g63, [high])[0]
+        closure = oracle.table_closure
+        monkeypatch.setattr(
+            oracle, "table_closure",
+            lambda *a, **kw: (t := closure(*a, **kw))[(t != row).any(axis=1)],
+        )
+        rep = oracle.differential_check(g63, base)
+        assert rep.pair_agree and rep.engine_order == rep.pair_order == 1565
+        assert rep.table_order == 1565
+        assert rep.table_agree is False and not rep.agree
+        assert rep.witness == MuMap(0, 1)
 
 
 class TestPairBudget:

@@ -49,29 +49,6 @@ class TestGcd:
         assert zmod.gcd(a, b) == gcd_by_subtraction(a, b)
 
 
-class TestModInverse:
-    def test_known_value(self):
-        assert zmod.mod_inverse(2, 63) == 32
-        assert 2 * 32 % 63 == 1
-
-    def test_identity(self):
-        for m in (2, 5, 63):
-            assert zmod.mod_inverse(1, m) == 1
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(zmod.NonUnit):
-            zmod.mod_inverse(21, 63)
-
-    @given(st.integers(2, 5000), st.integers(0, 5000))
-    def test_involution(self, m, r):
-        r %= m
-        if math.gcd(r, m) != 1:
-            return
-        inv = zmod.mod_inverse(r, m)
-        assert r * inv % m == 1
-        assert zmod.mod_inverse(inv, m) == r
-
-
 class TestMultOrder:
     @pytest.mark.parametrize(
         "k,m,expected", [(2, 63, 6), (6, 7, 2), (3, 5, 4)]
