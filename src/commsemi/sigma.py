@@ -24,12 +24,19 @@ costs O(|U|*gens + orbits*(|U| + |S|) + |S* - U|) rather than
 O(|S|*|S*|), each product r*b formed once: about linear in m at prime m.
 
 The right and left commutation semigroups are the special cases
-S = R = {k^j - 1} and S = L = {-(k^j - 1)}.
+S = R = {k^j - 1} and S = L = {-(k^j - 1)}.  Every generator k^j of <k>
+(j coprime to n) presents the same group with b replaced by b^j, so it has
+the same R and L, hence the same decomposition.  Inside a
+shared_analyses() scope, analyze computes the decomposition once per base
+and hands each caller its own SigmaAnalysis; outside any scope it keeps
+nothing.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +54,11 @@ SIDES = (RIGHT, LEFT)
 # semigroup holds more than m*m maps, so every group the pair oracle checks
 # gets its codes.  Both sides of G(15015,n,2) (97M and 126M maps) fit too.
 CODE_LIMIT = 1 << 27
+
+
+# The decompositions of the innermost open shared_analyses() scope, keyed by
+# base; None outside every scope.
+_shared: ContextVar[dict | None] = ContextVar("shared_analyses", default=None)
 
 
 class InvalidBase(ValueError):
@@ -259,15 +271,43 @@ def _y_set(m: int, divisors: frozenset[int]) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
+@contextmanager
+def shared_analyses():
+    """A scope in which analyze decomposes each base once.
+
+    Inside the block, analyze keeps the closure, orbits, order and
+    completeness of every base it decomposes and reuses them for any equal
+    base, such as R or L of another generator of the same <k>.  On exit,
+    also by an exception, the kept decompositions are dropped and the
+    enclosing scope (or none) is back in force, so scopes nest.
+    """
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 def analyze(p: Presentation, s: BaseSet) -> SigmaAnalysis:
     """Full decomposition of the semigroup based on S: closure, orbits and
-    the order, the sum of |orbit| * y_set_size."""
+    the order, the sum of |orbit| * y_set_size.
+
+    The decomposition depends on S alone; inside a shared_analyses() scope
+    an equal base decomposed before is not decomposed again, and the result
+    still holds the caller's presentation and base.  Outside any scope
+    nothing is kept."""
     if s.m != p.m:
         raise InvalidBase(f"base modulus {s.m} does not match presentation modulus {p.m}")
-    closed = closure(s)
-    orbs = tuple(orbits(s, closed))
-    total = sum(len(o.elements) * o.y_set_size for o in orbs)
-    return SigmaAnalysis(p, s, closed, orbs, total, all(o.basic for o in orbs))
+    shared = _shared.get()
+    parts = None if shared is None else shared.get(s)
+    if parts is None:
+        closed = closure(s)
+        orbs = tuple(orbits(s, closed))
+        total = sum(len(o.elements) * o.y_set_size for o in orbs)
+        parts = (closed, orbs, total, all(o.basic for o in orbs))
+        if shared is not None:
+            shared[s] = parts
+    return SigmaAnalysis(p, s, *parts)
 
 
 def _verify(a: SigmaAnalysis) -> None:

@@ -11,6 +11,11 @@ of p in the k_t table divides exactly the t with p | k_t.
 
 A theorem violation is an implementation bug: every suite is expected to
 report zero violations on every range.
+
+The generators of one cyclic subgroup <k> of Z_m^* share their bases R and
+L, and so their analyses.  scan and the prime-m, prime-square and prime-n
+suites walk each modulus inside one sigma.shared_analyses() scope, which
+decomposes each distinct base once; they still report every k.
 """
 
 from __future__ import annotations
@@ -103,19 +108,28 @@ def base_for(p: Presentation, side: str) -> sigma.BaseSet:
 
 def _scan_one_modulus(m: int) -> list[ScanRecord]:
     out = []
-    for p in validated_presentations(m):
-        for side in SIDES:
-            a = sigma.analyze(p, base_for(p, side))
-            reps = tuple(o.representative for o in a.orbits if not o.basic)
-            out.append(ScanRecord(m, p.k, p.n, side, reps, a.complete, a.total_order))
+    bases = {}  # <k> -> its right and left bases, shared by its generators
+    with sigma.shared_analyses():
+        for p in validated_presentations(m):
+            subgroup = frozenset(p.k_pow[: p.n])
+            if subgroup not in bases:
+                bases[subgroup] = [base_for(p, side) for side in SIDES]
+            for side, base in zip(SIDES, bases[subgroup]):
+                a = sigma.analyze(p, base)
+                reps = tuple(o.representative for o in a.orbits if not o.basic)
+                out.append(ScanRecord(m, p.k, p.n, side, reps, a.complete, a.total_order))
     return out
 
 
 def scan(m_lo: int, m_hi: int, jobs: int = 1) -> list[ScanRecord]:
     """Analyze both sides of every validated (m, k) with m_lo <= m <= m_hi.
 
-    Records come back in (m, k, right-then-left) order regardless of the
-    worker count; parallel runs chunk by modulus and merge in order.
+    Every generator of one cyclic subgroup <k> of Z_m^* has the same bases
+    R and L, so each modulus is walked inside one sigma.shared_analyses()
+    scope: the bases are built once per <k> and decomposed once, and every
+    k still gets its own record.  Records come back in (m, k,
+    right-then-left) order regardless of the worker count; parallel runs
+    chunk by modulus and merge in order.
     """
     if not 2 <= m_lo <= m_hi:
         raise ValueError(f"bad scan range [{m_lo}, {m_hi}]")
@@ -154,24 +168,25 @@ def verify_prime_m(p_max: int) -> VerificationReport:
     violations = []
     cases = 0
     for p in primes_up_to(p_max):
-        for pres in validated_presentations(p):
-            cases += 1
-            ar = sigma.analyze(pres, sigma.right_base(pres))
-            al = sigma.analyze(pres, sigma.left_base(pres))
-            tag = f"G({p},{pres.n},{pres.k})"
-            if not ar.complete:
-                violations.append(f"{tag}: right side incomplete")
-            if not al.complete:
-                violations.append(f"{tag}: left side incomplete")
-            chain = {
-                "closure sizes equal": len(ar.closure.elements) == len(al.closure.elements),
-                "closures equal": ar.closure.elements == al.closure.elements,
-                "map sets equal": _divisors_by_x(ar) == _divisors_by_x(al),
-                "orders equal": ar.total_order == al.total_order,
-            }
-            if len(set(chain.values())) > 1:
-                detail = ", ".join(f"{k}={v}" for k, v in chain.items())
-                violations.append(f"{tag}: equivalence chain broken ({detail})")
+        with sigma.shared_analyses():
+            for pres in validated_presentations(p):
+                cases += 1
+                ar = sigma.analyze(pres, sigma.right_base(pres))
+                al = sigma.analyze(pres, sigma.left_base(pres))
+                tag = f"G({p},{pres.n},{pres.k})"
+                if not ar.complete:
+                    violations.append(f"{tag}: right side incomplete")
+                if not al.complete:
+                    violations.append(f"{tag}: left side incomplete")
+                chain = {
+                    "closure sizes equal": len(ar.closure.elements) == len(al.closure.elements),
+                    "closures equal": ar.closure.elements == al.closure.elements,
+                    "map sets equal": _divisors_by_x(ar) == _divisors_by_x(al),
+                    "orders equal": ar.total_order == al.total_order,
+                }
+                if len(set(chain.values())) > 1:
+                    detail = ", ".join(f"{k}={v}" for k, v in chain.items())
+                    violations.append(f"{tag}: equivalence chain broken ({detail})")
     return VerificationReport("prime-m", cases, tuple(violations))
 
 
@@ -183,19 +198,20 @@ def verify_prime_square_m(p_max: int) -> VerificationReport:
     for p in primes_up_to(p_max):
         m = p * p
         full = frozenset(t * p for t in range(p))
-        for pres in validated_presentations(m):
-            cases += 1
-            tag = f"G({m},{pres.n},{pres.k})"
-            for side in SIDES:
-                base = base_for(pres, side)
-                a = sigma.analyze(pres, base)
-                if not a.complete:
-                    violations.append(f"{tag}: {side} side incomplete")
-                if base.non_units != {0} and base.non_units != full:
-                    violations.append(
-                        f"{tag}: {side} base non-units {sorted(base.non_units)} "
-                        "are neither {0} nor all multiples of p"
-                    )
+        with sigma.shared_analyses():
+            for pres in validated_presentations(m):
+                cases += 1
+                tag = f"G({m},{pres.n},{pres.k})"
+                for side in SIDES:
+                    base = base_for(pres, side)
+                    a = sigma.analyze(pres, base)
+                    if not a.complete:
+                        violations.append(f"{tag}: {side} side incomplete")
+                    if base.non_units != {0} and base.non_units != full:
+                        violations.append(
+                            f"{tag}: {side} base non-units {sorted(base.non_units)} "
+                            "are neither {0} nor all multiples of p"
+                        )
     return VerificationReport("prime-square-m", cases, tuple(violations))
 
 
@@ -205,20 +221,21 @@ def verify_prime_n(m_max: int) -> VerificationReport:
     violations = []
     cases = 0
     for m in range(3, m_max + 1):
-        for pres in validated_presentations(m):
-            if not is_prime(pres.n):
-                continue
-            cases += 1
-            tag = f"G({m},{pres.n},{pres.k})"
-            for side in SIDES:
-                a = sigma.analyze(pres, base_for(pres, side))
-                if a.closure.non_units != {0}:
-                    violations.append(
-                        f"{tag}: {side} closure has non-units "
-                        f"{sorted(a.closure.non_units)} beyond 0"
-                    )
-                if not a.complete:
-                    violations.append(f"{tag}: {side} side incomplete")
+        with sigma.shared_analyses():
+            for pres in validated_presentations(m):
+                if not is_prime(pres.n):
+                    continue
+                cases += 1
+                tag = f"G({m},{pres.n},{pres.k})"
+                for side in SIDES:
+                    a = sigma.analyze(pres, base_for(pres, side))
+                    if a.closure.non_units != {0}:
+                        violations.append(
+                            f"{tag}: {side} closure has non-units "
+                            f"{sorted(a.closure.non_units)} beyond 0"
+                        )
+                    if not a.complete:
+                        violations.append(f"{tag}: {side} side incomplete")
     return VerificationReport("prime-n", cases, tuple(violations))
 
 

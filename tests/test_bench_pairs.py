@@ -1,0 +1,75 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "cases_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def runs(walls):
+    return [{"wall_s": w, "cases_per_s": 100 / w} for w in walls]
+
+
+def test_summary_of_a_clear_gain_with_one_tie():
+    parent = runs([1.0, 1.1, 1.2, 1.3, 1.0, 1.1, 1.2, 1.3, 1.0, 1.1])
+    change = runs([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.1])  # pair 10 ties
+    summary = bench_pairs.summarize(parent, change, END_TO_END)
+    wall = summary["wall_s"]
+    assert wall["runs"]["change"] == [r["wall_s"] for r in change]
+    assert wall["median"] == {"parent": 1.1, "change": 0.5}
+    assert wall["quartiles"]["parent"] == pytest.approx([1.025, 1.2])
+    assert wall["parent_iqr"] == pytest.approx(0.175)
+    assert wall["change_wins"] == 9 and wall["pairs"] == 10
+    assert wall["gain"] and wall["within_bound"]
+    assert wall["change_vs_parent_pct"] == pytest.approx(-100 * 0.6 / 1.1)
+    # higher is better here: the same runs win as higher rates
+    rate = summary["cases_per_s"]
+    assert rate["change_wins"] == 9 and rate["gain"] and rate["within_bound"]
+
+
+def test_eight_wins_claim_no_gain():
+    parent = runs([1.0] * 10)
+    change = runs([0.5] * 8 + [1.0, 1.5])
+    wall = bench_pairs.summarize(parent, change, END_TO_END)["wall_s"]
+    assert wall["change_wins"] == 8
+    assert not wall["gain"]
+
+
+def test_gain_must_exceed_the_parent_spread():
+    parent = runs([1.0, 2.0] * 5)
+    change = runs([0.9, 1.9] * 5)  # wins every pair, by less than the IQR
+    wall = bench_pairs.summarize(parent, change, END_TO_END)["wall_s"]
+    assert wall["change_wins"] == 10
+    assert wall["parent_iqr"] == pytest.approx(1.0)
+    assert not wall["gain"]
+
+
+def test_bound_is_a_fraction_of_the_parent_median():
+    parent = runs([1.0] * 10)
+    assert bench_pairs.summarize(parent, runs([1.25] * 10), END_TO_END)["wall_s"]["within_bound"]
+    slower = bench_pairs.summarize(parent, runs([1.3] * 10), END_TO_END)
+    assert not slower["wall_s"]["within_bound"]
+    assert slower["cases_per_s"]["within_bound"]  # 100/1.3 = 76.9 is within 25% of 100
+    assert not bench_pairs.summarize(parent, runs([1.34] * 10), END_TO_END)["cases_per_s"]["within_bound"]
+
+
+def test_a_run_not_correct_is_refused(monkeypatch, tmp_path):
+    class Done:
+        returncode = 1
+        stdout = json.dumps({"correct": False, "metrics": {}}) + "\n"
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Done)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert not out.exists()

@@ -274,6 +274,76 @@ class TestAnalyze:
             sigma.analyze(g63, sigma.make_base(5, [0, 4]))
 
 
+class TestSharedAnalyses:
+    """G(63,6,2) and G(63,6,32) present one group: 32 = 2^5 generates <2>,
+    so both have the same R and the same L."""
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        calls = []
+        real = sigma.closure
+
+        def counting(s):
+            calls.append(s)
+            return real(s)
+
+        monkeypatch.setattr(sigma, "closure", counting)
+        return calls
+
+    @pytest.fixture
+    def pair(self):
+        p, q = group.validate(63, 2), group.validate(63, 32)
+        assert p.n == q.n == 6 and sigma.right_base(p) == sigma.right_base(q)
+        return p, q
+
+    @staticmethod
+    def right_sides(pair):
+        return [sigma.analyze(p, sigma.right_base(p)) for p in pair]
+
+    def test_one_closure_per_base_inside_a_scope(self, closures, pair):
+        with sigma.shared_analyses():
+            self.right_sides(pair)
+        assert len(closures) == 1
+
+    def test_every_call_computes_outside_a_scope(self, closures, pair):
+        self.right_sides(pair)
+        assert len(closures) == 2
+
+    def test_nothing_kept_after_the_block(self, closures, pair):
+        with sigma.shared_analyses():
+            self.right_sides(pair)
+        self.right_sides(pair)
+        assert len(closures) == 3
+        with pytest.raises(RuntimeError):
+            with sigma.shared_analyses():
+                self.right_sides(pair)
+                raise RuntimeError("leave the block")
+        assert len(closures) == 4
+        self.right_sides(pair)
+        assert len(closures) == 6
+
+    def test_nested_scope_restores_the_outer_one(self, closures, pair):
+        p, q = pair
+        with sigma.shared_analyses():
+            sigma.analyze(p, sigma.right_base(p))
+            with sigma.shared_analyses():
+                sigma.analyze(q, sigma.right_base(q))  # the inner scope starts empty
+                sigma.analyze(p, sigma.right_base(p))
+            assert len(closures) == 2
+            sigma.analyze(q, sigma.right_base(q))  # the outer scope's decomposition
+            sigma.analyze(q, sigma.left_base(q))
+        assert len(closures) == 3
+
+    def test_shared_analyses_equal_unscoped_ones(self, pair):
+        with sigma.shared_analyses():
+            shared = [sigma.analyze(p, survey.base_for(p, side)) for side in sigma.SIDES for p in pair]
+        alone = [sigma.analyze(p, survey.base_for(p, side)) for side in sigma.SIDES for p in pair]
+        for a, b, p in zip(shared, alone, pair * 2):
+            assert a.presentation is p
+            for f in dataclasses.fields(sigma.SigmaAnalysis):
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
 class TestEnumerate:
     def test_s3_right_listing(self, g3):
         a = sigma.analyze(g3, sigma.right_base(g3))

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from commsemi import group, sigma, survey
 from test_oracle import mu_generators, pair_closure
+
+
+def per_k_scan(m_lo, m_hi):
+    """The scan by definition: for every validated k and both sides, fresh
+    bases and sigma.analyze with no scope open, so nothing is shared."""
+    out = []
+    for m in range(m_lo, m_hi + 1):
+        for p in survey.validated_presentations(m):
+            for side in sigma.SIDES:
+                a = sigma.analyze(p, survey.base_for(p, side))
+                reps = tuple(o.representative for o in a.orbits if not o.basic)
+                out.append(survey.ScanRecord(m, p.k, p.n, side, reps, a.complete, a.total_order))
+    return out
 
 
 class TestScan:
@@ -65,6 +79,14 @@ class TestScan:
             survey.scan(10, 5)
         with pytest.raises(ValueError):
             survey.scan(1, 1)
+
+    def test_matches_per_k_reference(self):
+        assert survey.scan(3, 200) == per_k_scan(3, 200)
+
+    @settings(max_examples=30, deadline=5000)
+    @given(strategies.integers(3, 400))
+    def test_one_modulus_matches_per_k_reference(self, m):
+        assert survey._scan_one_modulus(m) == per_k_scan(m, m)
 
     def test_orders_agree_with_pair_oracle(self):
         # every recorded order is the cardinality of the raw BFS closure
