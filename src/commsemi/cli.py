@@ -57,8 +57,9 @@ def _dumps(obj) -> str:
     of dicts with str keys, lists, tuples and scalars.  With any indent the
     stdlib leaves its C encoder for a Python walk with one generator frame
     per node; this walk appends strings to one list, encodes a dict's
-    scalar values in place, writes each list of plain ints in one join,
-    and leaves only rare leaves to json.dumps."""
+    scalar values in place, writes each list of plain ints in one join
+    and each empty container as it stands, and leaves only rare leaves
+    to json.dumps."""
     out: list[str] = []
     _write(obj, "\n", out)
     return "".join(out)
@@ -107,7 +108,9 @@ def _write(o, nl: str, out: list[str]) -> None:
             _write(v, inner, out)
             sep = "," + inner
         out.append(nl + "]")
-    else:  # floats, subclasses of str and int, and empty dicts and lists
+    elif isinstance(o, (dict, list, tuple)):  # empty: the non-empty ones are above
+        out.append("{}" if isinstance(o, dict) else "[]")
+    else:  # floats and subclasses of str and int
         out.append(json.dumps(o))
 
 

@@ -3,7 +3,10 @@
 A presentation is accepted only when the group it defines has trivial
 centre: k must be a unit mod m, k - 1 must also be a unit, and n is forced
 to be the multiplicative order of k.  Elements are kept in the normal form
-a^i b^j with 0 <= i < m, 0 <= j < n.
+a^i b^j with 0 <= i < m, 0 <= j < n.  A Presentation holds m, n and k
+alone; the power tables of k and c = k^-1 follow from them and are built
+on first read, so a caller that needs only the parameters pays O(1) for
+a validated presentation beyond finding n.
 
 The product rule follows from b a b^-1 = a^(k^-1):
 
@@ -17,6 +20,7 @@ the convention rather than trusting the algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import zmod
 
@@ -57,8 +61,9 @@ IDENTITY = GroupElement(0, 0)
 
 @dataclass(frozen=True)
 class Presentation:
-    """Validated parameters of G(m,n,k) plus the power tables used everywhere.
+    """Validated parameters of G(m,n,k); equality and hashing see only them.
 
+    The power tables are derived from (m, n, k) and built on first read:
     k_pow[t] = k^t mod m and k_sub[t] = k^t - 1 mod m for 0 <= t <= n;
     c_pow holds the matching powers of c = k^-1 for the product rule.
     """
@@ -66,9 +71,22 @@ class Presentation:
     m: int
     n: int
     k: int
-    k_pow: tuple[int, ...]
-    k_sub: tuple[int, ...]
-    c_pow: tuple[int, ...]
+
+    @cached_property
+    def k_pow(self) -> tuple[int, ...]:
+        out = [1]
+        for _ in range(self.n):
+            out.append(out[-1] * self.k % self.m)
+        return tuple(out)
+
+    @cached_property
+    def k_sub(self) -> tuple[int, ...]:
+        return tuple((x - 1) % self.m for x in self.k_pow)
+
+    @cached_property
+    def c_pow(self) -> tuple[int, ...]:
+        # c^t = k^(n - t), since k^n = 1
+        return self.k_pow[::-1]
 
     @property
     def order(self) -> int:
@@ -81,16 +99,6 @@ class Presentation:
         return f"G({self.m},{self.n},{self.k})"
 
 
-def _build(m: int, k: int) -> Presentation:
-    n = zmod.mult_order(k, m)
-    k_pow = [1]
-    for _ in range(n):
-        k_pow.append(k_pow[-1] * k % m)
-    k_sub = tuple((x - 1) % m for x in k_pow)
-    # c^t = k^(n - t), since k^n = 1
-    return Presentation(m, n, k, tuple(k_pow), k_sub, tuple(k_pow[::-1]))
-
-
 def validate(m: int, k: int) -> Presentation:
     """Accept (m, k) only if G(m, ind_m(k), k) is non-abelian with trivial centre."""
     if not (2 <= m <= zmod.MAX_MODULUS and 0 <= k < m):
@@ -101,8 +109,8 @@ def validate(m: int, k: int) -> Presentation:
         raise Abelian(f"k = 1 mod {m} presents an abelian group")
     if zmod.gcd(m, k - 1) != 1:
         raise NonTrivialCentre(f"gcd({m}, {k - 1}) = {zmod.gcd(m, k - 1)} != 1")
-    p = _build(m, k)
-    assert p.k_sub[0] == 0 and p.k_sub[p.n] == 0
+    p = Presentation(m, zmod.mult_order(k, m), k)
+    assert pow(k, p.n, m) == 1
     return p
 
 
@@ -119,7 +127,7 @@ def unchecked(m: int, k: int) -> Presentation:
         raise NotCoprimeK(f"gcd({m}, {k}) != 1")
     if k % m == 1:
         raise Abelian("k = 1 mod m has no multiplicative order > 1")
-    return _build(m, k % m)
+    return Presentation(m, zmod.mult_order(k % m, m), k % m)
 
 
 def multiply(p: Presentation, g: GroupElement, h: GroupElement) -> GroupElement:

@@ -174,8 +174,10 @@ def left_base(p: Presentation) -> BaseSet:
 
 def _unit_group(m: int, gens) -> tuple[list[int], list[int]]:
     """<gens> for units gens of Z_m, by coset extension (Dimino): each
-    generator g not yet in H appends the cosets gH, g^2H, ... until the next
-    power of g is back in H; Z_m^* is abelian, so these cosets make <H, g>.
+    generator g not yet in H appends the cosets gH, g^2H, ... up to the
+    first power of g that lies in H; Z_m^* is abelian, so these cosets make
+    <H, g>.  The powers are walked first and every coset is then written
+    in one pass, g^i H after g^(i-1) H, each in H's element order.
     Returns the elements and the generators that enlarged the group."""
     one = 1 % m
     elements, members, enlarging = [one], {one}, []
@@ -183,13 +185,12 @@ def _unit_group(m: int, gens) -> tuple[list[int], list[int]]:
         if g in members:
             continue
         enlarging.append(g)
-        h = elements[:]
-        coset_rep = g
-        while coset_rep not in members:
-            coset = [coset_rep * e % m for e in h]
-            elements.extend(coset)
-            members.update(coset)
-            coset_rep = coset_rep * g % m
+        reps = [g]
+        while (nxt := reps[-1] * g % m) not in members:
+            reps.append(nxt)
+        cosets = [r * e % m for r in reps for e in elements]
+        elements.extend(cosets)
+        members.update(cosets)
     return elements, enlarging
 
 

@@ -15,11 +15,16 @@ report zero violations on every range.
 The generators of one cyclic subgroup <k> of Z_m^* share their bases R and
 L, and so their analyses.  scan and the prime-m, prime-square and prime-n
 suites walk each modulus inside one sigma.shared_analyses() scope, which
-decomposes each distinct base once; they still report every k.
+decomposes each distinct base once; they still report every k.  scan
+also builds the bases of each <k> once, from the first presentation of
+<k>, and files them under every generator k^j (j coprime to n) read off
+that presentation's power table; a later generator finds them by its k
+alone and never builds its own power tables.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -108,13 +113,15 @@ def base_for(p: Presentation, side: str) -> sigma.BaseSet:
 
 def _scan_one_modulus(m: int) -> list[ScanRecord]:
     out = []
-    bases = {}  # <k> -> its right and left bases, shared by its generators
+    bases = {}  # each generator of a <k> seen -> the right and left bases of <k>
     with sigma.shared_analyses():
         for p in validated_presentations(m):
-            subgroup = frozenset(p.k_pow[: p.n])
-            if subgroup not in bases:
-                bases[subgroup] = [base_for(p, side) for side in SIDES]
-            for side, base in zip(SIDES, bases[subgroup]):
+            if p.k not in bases:
+                both = [base_for(p, side) for side in SIDES]
+                for j in range(1, p.n):
+                    if math.gcd(j, p.n) == 1:
+                        bases[p.k_pow[j]] = both
+            for side, base in zip(SIDES, bases[p.k]):
                 a = sigma.analyze(p, base)
                 reps = tuple(o.representative for o in a.orbits if not o.basic)
                 out.append(ScanRecord(m, p.k, p.n, side, reps, a.complete, a.total_order))
@@ -126,8 +133,10 @@ def scan(m_lo: int, m_hi: int, jobs: int = 1) -> list[ScanRecord]:
 
     Every generator of one cyclic subgroup <k> of Z_m^* has the same bases
     R and L, so each modulus is walked inside one sigma.shared_analyses()
-    scope: the bases are built once per <k> and decomposed once, and every
-    k still gets its own record.  Records come back in (m, k,
+    scope: the bases are built once per <k>, from its first presentation,
+    and decomposed once, and every k still gets its own record.  Only that
+    first presentation builds its power tables; every other generator of
+    <k> is one dict lookup.  Records come back in (m, k,
     right-then-left) order regardless of the worker count; parallel runs
     chunk by modulus and merge in order.
     """

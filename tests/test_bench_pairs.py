@@ -73,3 +73,35 @@ def test_a_run_not_correct_is_refused(monkeypatch, tmp_path):
     argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w", "--out", str(out)]
     assert bench_pairs.main(argv) == 1
     assert not out.exists()
+
+
+def test_trees_differing_in_bytecode_are_refused(monkeypatch, tmp_path):
+    # a stale __pycache__ in one tree only would lower that tree's setup_s
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    (parent / "src" / "pkg" / "__pycache__").mkdir()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.bytecode_state(parent) == {"pycache": True, "PYTHONDONTWRITEBYTECODE": "1"}
+    assert bench_pairs.bytecode_state(change) == {"pycache": False, "PYTHONDONTWRITEBYTECODE": "1"}
+
+    started = []
+
+    class Done:
+        returncode = 0
+        stdout = json.dumps({"correct": True, "metrics": {"wall_s": {"value": 1.0}, "cases_per_s": {"value": 100.0}}})
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: started.append(k["cwd"]) or Done)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert not out.exists() and not started
+
+    (change / "perfbench" / "__pycache__").mkdir()  # now both trees hold bytecode
+    assert bench_pairs.main(argv) == 0
+    entry = json.loads(out.read_text())["pairs"]["w seed 0"]
+    state = {"pycache": True, "PYTHONDONTWRITEBYTECODE": "1"}
+    assert entry["bytecode"] == {"parent": state, "change": state}
+    assert started == [parent, change, change, parent]

@@ -419,6 +419,7 @@ _trees = st.recursive(
 @example([1, True])
 @example({"a": [], "b": {}, "c": [[], {}], "": [0, -1, 2**64]})
 @example([-0.0, float("inf"), float("nan"), None, False])
+@example({"r": (), "s": [(), {}, [()]]})
 def test_writer_matches_json_dumps(tree):
     assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
 

@@ -17,6 +17,15 @@ def cayley_codes(p):
     return table
 
 
+def stored_tables(m, k):
+    """The power tables as validate built and stored them eagerly: k^t and
+    k^t - 1 mod m for 0 <= t <= n, then k_pow reversed for c = k^-1."""
+    k_pow = [1]
+    while len(k_pow) == 1 or k_pow[-1] != 1:
+        k_pow.append(k_pow[-1] * k % m)
+    return tuple(k_pow), tuple((x - 1) % m for x in k_pow), tuple(k_pow[::-1])
+
+
 class TestValidate:
     def test_s3(self):
         p = group.validate(3, 2)
@@ -48,7 +57,9 @@ class TestValidate:
 
     def test_c_powers_are_k_powers_reversed(self):
         # c = k^-1 and k^n = 1, so c^t = k^(n - t): c_pow is k_pow read
-        # backwards, and each entry is the inverse power computed directly
+        # backwards, and each entry is the inverse power computed directly.
+        # validate stores no table; the first read builds the same tuples
+        # the presentation once stored as fields
         valid = 0
         for m in range(3, 200):
             for k in range(2, m):
@@ -57,9 +68,19 @@ class TestValidate:
                 except group.InvalidPresentation:
                     continue
                 valid += 1
+                assert vars(p) == {"m": m, "n": p.n, "k": k}, (m, k)
+                if m <= 60:
+                    assert (p.k_pow, p.k_sub, p.c_pow) == stored_tables(m, k), (m, k)
                 assert p.c_pow == p.k_pow[::-1], (m, k)
                 assert list(p.c_pow) == [pow(k, -t, m) for t in range(p.n + 1)], (m, k)
         assert valid == 6563
+
+    def test_equality_and_hash_see_only_m_n_k(self):
+        read, unread = group.validate(63, 2), group.validate(63, 2)
+        assert read.k_sub[1] == 1 and "k_sub" not in vars(unread)
+        assert read == unread and hash(read) == hash(unread)
+        assert {read: "first"}[unread] == "first"
+        assert read != group.validate(63, 5)
 
     @pytest.mark.parametrize("m_hi", [80])
     def test_validated_m_is_always_odd(self, m_hi):

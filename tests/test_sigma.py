@@ -496,6 +496,24 @@ def _random_bases(rng, m, count):
         yield sigma.make_base(m, [0, rng.choice(units), *extra])
 
 
+def coset_by_coset_unit_group(m, gens):
+    """<gens> by Dimino's extension one coset at a time: each g not yet in
+    H appends gH, then g^2H, ..., until the next power of g is a member."""
+    elements, members, enlarging = [1 % m], {1 % m}, []
+    for g in gens:
+        if g in members:
+            continue
+        enlarging.append(g)
+        h = elements[:]
+        rep = g
+        while rep not in members:
+            coset = [rep * e % m for e in h]
+            elements.extend(coset)
+            members.update(coset)
+            rep = rep * g % m
+    return elements, enlarging
+
+
 class TestOrbitEngine:
     def test_matches_reference_on_every_small_group(self):
         cases = 0
@@ -555,6 +573,21 @@ class TestOrbitEngine:
         assert len(elements) == len(set(elements))
         assert enlarging == [2, 5]
         assert sigma._unit_group(21, []) == ([1], [])
+
+    def test_unit_group_matches_coset_by_coset_extension(self):
+        # the walk-then-write extension lists the same products in the same
+        # order as appending one coset g^i H at a time, on the units of
+        # every right and left base with m <= 60
+        cases = enlarged = 0
+        for m in range(3, 61):
+            for p in survey.validated_presentations(m):
+                for base in (sigma.right_base(p), sigma.left_base(p)):
+                    gens = list(base.units)
+                    got = sigma._unit_group(m, gens)
+                    assert got == coset_by_coset_unit_group(m, gens), (m, p.k, gens)
+                    cases += 1
+                    enlarged += len(got[1]) > 1
+        assert cases == 1158 and enlarged > 0
 
     def test_analysis_is_hashable_and_frozen(self, g63):
         a = sigma.analyze(g63, sigma.right_base(g63))

@@ -88,6 +88,28 @@ class TestScan:
     def test_one_modulus_matches_per_k_reference(self, m):
         assert survey._scan_one_modulus(m) == per_k_scan(m, m)
 
+    def test_tables_built_once_per_cyclic_subgroup(self, monkeypatch):
+        # only the first presentation of each <k> builds power tables; every
+        # later generator of <k> finds its bases by k and builds none
+        created = []
+        validated = survey.validated_presentations
+
+        def recording(m):
+            ps = validated(m)
+            created.extend(ps)
+            return ps
+
+        monkeypatch.setattr(survey, "validated_presentations", recording)
+        survey.scan(3, 60)
+        subgroups = {}  # (m, <k>) -> [(k, tables built)] in scan order
+        for p in created:
+            key = (p.m, frozenset(pow(p.k, t, p.m) for t in range(p.n)))
+            built = bool(vars(p).keys() & {"k_pow", "k_sub", "c_pow"})
+            subgroups.setdefault(key, []).append((p.k, built))
+        assert len(created) == 579 and len(subgroups) < len(created)
+        for ks in subgroups.values():
+            assert [built for _, built in ks] == [True] + [False] * (len(ks) - 1), ks
+
     def test_orders_agree_with_pair_oracle(self):
         # every recorded order is the cardinality of the raw BFS closure
         for rec in survey.scan(31, 35):

@@ -13,6 +13,12 @@ Pair i (from 1) runs the parent first when i is odd and the change first
 when i is even.  A run that does not end with ``correct: true`` stops the
 tool with exit 1 before anything is written.
 
+A run that finds no compiled bytecode compiles the library from source,
+which shows in ``setup_s``.  So before the first run the tool records, for
+each tree, whether any ``__pycache__`` lies under ``src/`` or
+``perfbench/`` and the value of ``PYTHONDONTWRITEBYTECODE``; when the two
+trees differ it refuses with exit 1, before any run.
+
 FILE keeps whatever it already holds; the tool sets its ``machine`` key and
 one entry under ``pairs``, named ``W seed S``.  For every end-to-end
 metric of the change's BENCHMARK.json the entry holds each side's runs,
@@ -59,6 +65,15 @@ def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
     if proc.returncode != 0 or report.get("correct") is not True:
         raise RunRefused(f"{tree}: {workload} seed {seed} exited {proc.returncode}, correct={report.get('correct')}")
     return {name: metric["value"] for name, metric in report["metrics"].items()}
+
+
+def bytecode_state(tree: Path) -> dict:
+    """Whether compiled bytecode lies under the tree's src/ or perfbench/,
+    and whether the runs may write it."""
+    return {
+        "pycache": any(any((tree / d).rglob("__pycache__")) for d in ("src", "perfbench")),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    }
 
 
 def _quartiles(xs: list[float]) -> list[float]:
@@ -108,6 +123,10 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 2, to give quartiles")
     trees = {"parent": args.parent, "change": args.change}
     spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bytecode = {side: bytecode_state(tree) for side, tree in trees.items()}
+    if bytecode["parent"] != bytecode["change"]:
+        print(f"bench_pairs: the trees differ in compiled bytecode: {bytecode}", file=sys.stderr)
+        return 1
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     try:
@@ -124,6 +143,7 @@ def main(argv=None) -> int:
     doc.setdefault("pairs", {})[f"{args.workload} seed {args.seed}"] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed}",
         "order": "parent first in odd pairs, change first in even pairs",
+        "bytecode": bytecode,
         "metrics": summarize(runs["parent"], runs["change"], spec),
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
