@@ -5,9 +5,11 @@ parameters, payload; keys sorted, element lists ascending), diagnostics on
 stderr.  The stdout contract is exact: the bytes are
 json.dumps(report, sort_keys=True, indent=2) + "\n", written by this
 module's own writer (_dumps), which produces those bytes without the
-stdlib's pure-Python indent walk.  --format table renders the same payload
-for humans: mu-maps print as "(x,y)" and containers as "C(x; d)" with the
-canonical divisor.
+stdlib's pure-Python indent walk.  It encodes the items of a list a column
+at a time: a scan's records and an analysis's family rows, dicts of one
+shape, become one column per key and one %-template applied to each row.
+--format table renders the same payload for humans: mu-maps print as
+"(x,y)" and containers as "C(x; d)" with the canonical divisor.
 
 There is one report path.  Each command returns its payload, exit code and
 diagnostic, and main() writes the report and the diagnostic.  The
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 
 from . import group, oracle, sigma, survey
 
@@ -56,10 +59,10 @@ def _dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for trees
     of dicts with str keys, lists, tuples and scalars.  With any indent the
     stdlib leaves its C encoder for a Python walk with one generator frame
-    per node; this walk appends strings to one list, encodes a dict's
-    scalar values in place, writes each list of plain ints in one join
-    and each empty container as it stands, and leaves only rare leaves
-    to json.dumps."""
+    per node.  This walk appends strings to one list, encodes a dict's
+    scalar values in place and each empty container as it stands, and
+    hands every non-empty list to _column, which encodes its items a
+    column at a time; only rare leaves go to json.dumps."""
     out: list[str] = []
     _write(obj, "\n", out)
     return "".join(out)
@@ -77,6 +80,14 @@ _ENCODERS = {
 }
 
 
+def _key(key) -> str:
+    """A dict key's encoding; json.dumps would coerce some non-str keys, but
+    no report has them, so the writer refuses them all."""
+    if type(key) is not str:
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _encode_str(key)
+
+
 def _write(o, nl: str, out: list[str]) -> None:
     """Append o's encoding to out; nl is the newline and indent of o's line."""
     enc = _ENCODERS.get(type(o))
@@ -86,32 +97,54 @@ def _write(o, nl: str, out: list[str]) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for key in sorted(o):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             v = o[key]
             enc = _ENCODERS.get(type(v))
             if enc is None:
-                out.append(sep + _encode_str(key) + ": ")
+                out.append(sep + _key(key) + ": ")
                 _write(v, inner, out)
             else:
-                out.append(sep + _encode_str(key) + ": " + enc(v))
+                out.append(sep + _key(key) + ": " + enc(v))
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(o, (list, tuple)) and o:
         inner = nl + "  "
-        if set(map(type, o)) == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
-            return
-        sep = "[" + inner
-        for v in o:
-            out.append(sep)
-            _write(v, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
+        out.append("[" + inner + ("," + inner).join(_column(o, inner)) + nl + "]")
     elif isinstance(o, (dict, list, tuple)):  # empty: the non-empty ones are above
         out.append("{}" if isinstance(o, dict) else "[]")
     else:  # floats and subclasses of str and int
         out.append(json.dumps(o))
+
+
+def _column(values, nl: str) -> list[str]:
+    """The encoding of each of values, every one starting on a line whose
+    newline and indent is nl.  Values of one type are encoded together: one
+    _ENCODERS type in one map; non-empty dicts sharing one key tuple as
+    records, one column per key and one %-template for the rows; lists (or
+    tuples) flattened into one column and sliced back.  The rest go item by
+    item through _write."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    inner = nl + "  "
+    if kind in _ENCODERS:
+        return list(map(_ENCODERS[kind], values))
+    if kind is dict:
+        shapes = set(map(tuple, values))
+        keys = sorted(shapes.pop()) if len(shapes) == 1 else ()
+        if keys:
+            fields = ("," + inner).join(_key(k).replace("%", "%%") + ": %s" for k in keys)
+            cols = [_column([d[k] for d in values], inner) for k in keys]
+            return list(map(("{" + inner + fields + nl + "}").__mod__, zip(*cols)))
+    if kind is list or kind is tuple:
+        flat = _column([v for o in values for v in o], inner)
+        ends = list(accumulate(map(len, values)))
+        head, sep, tail = "[" + inner, "," + inner, nl + "]"
+        return [head + sep.join(flat[s:e]) + tail if s < e else "[]" for s, e in zip([0, *ends], ends)]
+    out = []
+    for v in values:
+        parts: list[str] = []
+        _write(v, nl, parts)
+        out.append("".join(parts))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +213,21 @@ def _render_analysis(a: dict) -> None:
 
 
 def _analysis_payload(a: sigma.SigmaAnalysis, side_label: str) -> dict:
+    """The analysis as a report: S*, its orbits, and one family row per x
+    of S*, ascending.  A family is x's view of its orbit, so each orbit's
+    containers (d, m // d), y-set size and completeness are built once and
+    filed under every x of it."""
     m = a.presentation.m
+    closure = sorted(a.closure.elements)
+    view: dict[int, tuple] = {}
+    for o in a.orbits:
+        containers = [(d, m // d) for d in sorted(o.generators_d)]
+        view.update(dict.fromkeys(o.elements, (containers, o.y_set_size, 1 in o.generators_d)))
     return {
         "side": side_label,
         "base": sorted(a.base.elements),
-        "closure_size": len(a.closure.elements),
-        "closure": sorted(a.closure.elements),
+        "closure_size": len(closure),
+        "closure": closure,
         "units": sorted(a.closure.units),
         "non_units": sorted(a.closure.non_units),
         "orbits": [
@@ -201,14 +243,12 @@ def _analysis_payload(a: sigma.SigmaAnalysis, side_label: str) -> dict:
         ],
         "families": [
             {
-                "x": f.x,
-                "maximal_containers": [
-                    {"x": f.x, "d": d, "order": m // d} for d in sorted(f.generators_d)
-                ],
-                "y_set_size": f.y_set_size,
-                "complete": f.complete,
+                "x": x,
+                "maximal_containers": [{"x": x, "d": d, "order": q} for d, q in containers],
+                "y_set_size": size,
+                "complete": complete,
             }
-            for f in a.families
+            for x, (containers, size, complete) in zip(closure, map(view.__getitem__, closure))
         ],
         "total_order": a.total_order,
         "complete": a.complete,

@@ -105,3 +105,67 @@ def test_trees_differing_in_bytecode_are_refused(monkeypatch, tmp_path):
     state = {"pycache": True, "PYTHONDONTWRITEBYTECODE": "1"}
     assert entry["bytecode"] == {"parent": state, "change": state}
     assert started == [parent, change, change, parent]
+
+
+STUB_RUN = """\
+import json, sys
+from pathlib import Path
+workload, seed = sys.argv[sys.argv.index("--workload") + 1], sys.argv[sys.argv.index("--seed") + 1]
+tree = Path.cwd().name
+with open(Path.cwd().parent / "log", "a") as log:
+    log.write(f"{workload} {tree}\\n")
+wall = {"parent": 1.0, "change": 0.5}[tree] * {"a": 1, "b": 3}[workload]
+print("stub run")
+print(json.dumps({"correct": True, "metrics": {"wall_s": {"value": wall}, "cases_per_s": {"value": 100 / wall}}}))
+"""
+
+
+def test_several_workloads_run_one_after_another_into_one_file(monkeypatch, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(STUB_RUN)
+        (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    checked = []
+    state = bench_pairs.bytecode_state
+    monkeypatch.setattr(bench_pairs, "bytecode_state", lambda tree: checked.append(tree) or state(tree))
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"pairs": {"earlier seed 0": {}}}))
+    argv = [
+        "--parent", str(parent), "--change", str(change), "--workload", "a", "--workload", "b",
+        "--pairs", "2", "--seed", "1", "--out", str(out),
+    ]
+    assert bench_pairs.main(argv) == 0
+
+    assert checked == [parent, change]  # once per tree, before any run
+    log = (tmp_path / "log").read_text().split("\n")[:-1]
+    assert log == ["a parent", "a change", "a change", "a parent", "b parent", "b change", "b change", "b parent"]
+    pairs = json.loads(out.read_text())["pairs"]
+    assert sorted(pairs) == ["a seed 1", "b seed 1", "earlier seed 0"]
+    for workload, scale in (("a", 1), ("b", 3)):
+        entry = pairs[f"{workload} seed 1"]
+        assert entry["command"] == f"python3 perfbench/run.py --workload {workload} --seed 1"
+        wall = entry["metrics"]["wall_s"]
+        assert wall["runs"] == {"parent": [scale * 1.0] * 2, "change": [scale * 0.5] * 2}
+        assert wall["change_wins"] == 2
+
+
+def test_a_refused_run_in_a_later_workload_writes_nothing(monkeypatch, tmp_path):
+    reports = iter([{"correct": True, "metrics": {"wall_s": {"value": 1.0}, "cases_per_s": {"value": 100.0}}}] * 4)
+
+    class Done:
+        returncode = 0
+
+        @property
+        def stdout(self):
+            return json.dumps(next(reports, {"correct": False}))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Done())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    out = tmp_path / "BENCH.json"
+    argv = [
+        "--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "a", "--workload", "b",
+        "--pairs", "2", "--out", str(out),
+    ]
+    assert bench_pairs.main(argv) == 1
+    assert not out.exists()

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from commsemi import cli, oracle, sigma
+from commsemi import cli, group, oracle, sigma, survey
 
 
 def run(capsys, *argv):
@@ -403,12 +403,29 @@ _leaves = st.one_of(
     st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f é \U0001f600'),
 )
 _int_lists = st.lists(st.one_of(st.integers(), st.booleans()), min_size=1)
+# keys that a %-template or a str encoder could get wrong
+_keys = st.text(alphabet='%s"\\é\U0001f600ab', max_size=3)
+
+
+def _records(kids):
+    """Lists of dicts sharing one key list, the records the writer encodes a
+    column at a time: most share its (unsorted) order, some permute it."""
+    def rows(keys):
+        order = st.just(keys) | st.permutations(keys)
+        row = order.flatmap(lambda ks: st.tuples(*[kids] * len(ks)).map(lambda vs: dict(zip(ks, vs))))
+        return st.lists(row, min_size=1, max_size=5)
+
+    return st.lists(_keys, min_size=1, max_size=4, unique=True).flatmap(rows)
+
+
 _trees = st.recursive(
     _leaves | _int_lists,
     lambda kids: st.one_of(
         st.lists(kids),
         st.lists(kids).map(tuple),
         st.dictionaries(st.text(), kids),
+        _records(kids | st.integers() | st.booleans()),
+        st.lists(st.lists(kids) | st.lists(kids).map(tuple) | _int_lists),
     ),
     max_leaves=40,
 )
@@ -420,11 +437,67 @@ _trees = st.recursive(
 @example({"a": [], "b": {}, "c": [[], {}], "": [0, -1, 2**64]})
 @example([-0.0, float("inf"), float("nan"), None, False])
 @example({"r": (), "s": [(), {}, [()]]})
+@example([{"a%s": 1}, {"a%s": 2}])
+@example([[1], [], (2, 3)])
+@example([{"a": 1}, {"a": True}])
+@example([{"b": 1, "a": 2}, {"a": 3, "b": 4}])
 def test_writer_matches_json_dumps(tree):
     assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("tree", [{1: 2}, {"a": {None: 1}}, [{1.5: 0}], {True: 0}, {(1,): 0}])
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {1: 2}, {"a": {None: 1}}, [{1.5: 0}], {True: 0}, {(1,): 0},
+        [{1: 0}, {1: 1}], [[{None: 0}], [{None: 1}]],  # records: one key tuple
+    ],
+)
 def test_writer_refuses_non_str_keys(tree):
     with pytest.raises(TypeError):
         cli._dumps(tree)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--m", "2003", "--k", "5", "--side", "both"),
+        ("scan", "--from", "3", "--to", "60"),
+        ("oracle", "--m", "63", "--k", "2"),
+        ("verify", "prime-square-m"),
+    ],
+    ids=lambda a: "_".join(a).replace("--", ""),
+)
+def test_real_reports_round_trip(capsys, argv):
+    _, out, _ = run(capsys, *argv)
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def _families_from_family_objects(a):
+    """The families rows as built from SigmaAnalysis.families, one Family
+    per x, each container listed by its sorted divisor."""
+    m = a.presentation.m
+    return [
+        {
+            "x": f.x,
+            "maximal_containers": [
+                {"x": f.x, "d": d, "order": m // d} for d in sorted(f.generators_d)
+            ],
+            "y_set_size": f.y_set_size,
+            "complete": f.complete,
+        }
+        for f in a.families
+    ]
+
+
+def test_family_rows_match_family_objects():
+    cases = [
+        (p, side, survey.base_for(p, side))
+        for m in range(3, 61)
+        for p in survey.validated_presentations(m)
+        for side in sigma.SIDES
+    ]
+    cases.append((group.validate(63, 2), "custom", sigma.make_base(63, [0, 1, 9, 21, 42])))
+    assert len(cases) == 1159  # 1158 presentation sides with m ≤ 60, one custom base
+    for p, side, base in cases:
+        a = sigma.analyze(p, base)
+        assert cli._analysis_payload(a, side)["families"] == _families_from_family_objects(a), (p, side)

@@ -1,8 +1,8 @@
-"""Run alternating parent/change pairs of one benchmark workload and write
+"""Run alternating parent/change pairs of benchmark workloads and write
 their summary into a BENCH_*.json file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \\
-        [--pairs 10] [--seed S] --out FILE
+        [--workload W2 ...] [--pairs 10] [--seed S] --out FILE
 
 DIR is the root of a checkout.  Each run is
 
@@ -10,8 +10,10 @@ DIR is the root of a checkout.  Each run is
 
 started in the root of one tree, at the run length its BENCHMARK.json sets.
 Pair i (from 1) runs the parent first when i is odd and the change first
-when i is even.  A run that does not end with ``correct: true`` stops the
-tool with exit 1 before anything is written.
+when i is even.  With several ``--workload`` options the tool runs all
+pairs of the first workload, then all pairs of the next, and so on.  A run
+that does not end with ``correct: true`` stops the tool with exit 1 before
+anything is written.
 
 A run that finds no compiled bytecode compiles the library from source,
 which shows in ``setup_s``.  So before the first run the tool records, for
@@ -20,10 +22,10 @@ each tree, whether any ``__pycache__`` lies under ``src/`` or
 trees differ it refuses with exit 1, before any run.
 
 FILE keeps whatever it already holds; the tool sets its ``machine`` key and
-one entry under ``pairs``, named ``W seed S``.  For every end-to-end
-metric of the change's BENCHMARK.json the entry holds each side's runs,
-median and inclusive quartiles, the pairs the change wins (ties count for
-neither), and two checks:
+one entry per workload under ``pairs``, named ``W seed S``.  For every
+end-to-end metric of the change's BENCHMARK.json the entry holds each
+side's runs, median and inclusive quartiles, the pairs the change wins
+(ties count for neither), and two checks:
 
 * ``gain``: the change wins at least nine tenths of the pairs, and its
   median is better than the parent's by more than the parent's
@@ -114,7 +116,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, required=True)
@@ -128,24 +130,27 @@ def main(argv=None) -> int:
         print(f"bench_pairs: the trees differ in compiled bytecode: {bytecode}", file=sys.stderr)
         return 1
 
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    try:
-        for i in range(1, args.pairs + 1):
-            for side in SIDES if i % 2 else SIDES[::-1]:
-                runs[side].append(run_once(trees[side], args.workload, args.seed))
-                print(f"pair {i} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
-    except RunRefused as exc:
-        print(f"bench_pairs: {exc}", file=sys.stderr)
-        return 1
+    entries = {}
+    for workload in dict.fromkeys(args.workload):
+        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        try:
+            for i in range(1, args.pairs + 1):
+                for side in SIDES if i % 2 else SIDES[::-1]:
+                    runs[side].append(run_once(trees[side], workload, args.seed))
+                    print(f"{workload} pair {i} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+        except RunRefused as exc:
+            print(f"bench_pairs: {exc}", file=sys.stderr)
+            return 1
+        entries[f"{workload} seed {args.seed}"] = {
+            "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed}",
+            "order": "parent first in odd pairs, change first in even pairs",
+            "bytecode": bytecode,
+            "metrics": summarize(runs["parent"], runs["change"], spec),
+        }
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}"
-    doc.setdefault("pairs", {})[f"{args.workload} seed {args.seed}"] = {
-        "command": f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed}",
-        "order": "parent first in odd pairs, change first in even pairs",
-        "bytecode": bytecode,
-        "metrics": summarize(runs["parent"], runs["change"], spec),
-    }
+    doc.setdefault("pairs", {}).update(entries)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
